@@ -30,7 +30,9 @@ from .errors import (
     InvalidGrid,
     NegativeInput,
     NegativeStart,
+    NonFiniteStart,
     NonPositiveHorizon,
+    NonZeroStart,
     RhoTooLarge,
 )
 from .experiments import (
@@ -70,7 +72,6 @@ from .reference import (
 from .reflect import running_max, running_min, skorohod_map
 from .scheme import (
     SchemePath,
-    phi_step,
     simulate_general_x0,
     simulate_new,
     simulate_old,

@@ -8,10 +8,11 @@ Subcommands:
   check      built-in invariant suite
 
 Options may come from a config file of ``key = value`` lines (``#`` starts
-a comment); explicit flags override the file.  The default output
-directory is taken from $DPSDE_OUTPUT_DIR (falling back to the working
-directory).  Exit codes: 0 ok, 1 runtime/I-O failure, 2 validation
-failure; failures print a single machine-parsable line on stderr.
+a comment); explicit flags override the file, and a key that names no
+option is rejected.  The default output directory is taken from
+$DPSDE_OUTPUT_DIR (falling back to the working directory).  Exit codes:
+0 ok, 1 runtime/I-O failure, 2 validation failure; failures print a single
+machine-parsable line on stderr.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ _DEFAULTS = {
     "workers": 1,
 }
 
+# every option a config file can set (the keys _setting reads)
+_CONFIG_KEYS = frozenset(_DEFAULTS) | {"format"}
+
 
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -60,7 +64,11 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line is not 'key = value': {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        name = key.strip().replace("-", "_")
+        if name not in _CONFIG_KEYS:
+            known = ", ".join(sorted(k.replace("_", "-") for k in _CONFIG_KEYS))
+            raise ValueError(f"unknown config key {key.strip()!r} in {path}; known keys: {known}")
+        values[name] = value.strip()
     return values
 
 

@@ -51,3 +51,11 @@ class EmptyInput(DPSDEError):
 
 class DegenerateFit(DPSDEError):
     """Rate fit with fewer than 3 points or non-positive estimates."""
+
+
+class NonFiniteStart(DPSDEError, ValueError):
+    """Initial condition x0 is not finite."""
+
+
+class NonZeroStart(DPSDEError):
+    """The running-extrema scheme was asked to start from x0 != 0."""

@@ -30,7 +30,7 @@ from typing import Literal
 import numpy as np
 
 from .driver import SimGrid, generate_increments, lag_map, make_grid
-from .errors import DegenerateFit, DelayTooFine
+from .errors import DegenerateFit, DelayTooFine, NonZeroStart
 from .models import get_model
 from .params import PerturbationParams, validate
 from .reference import solve_reference_batch
@@ -82,6 +82,8 @@ class StudySpec:
         get_model(self.model_id)
         if self.scheme not in _BATCH_FNS:
             raise ValueError(f"scheme must be one of {sorted(_BATCH_FNS)}, got {self.scheme!r}")
+        if self.scheme == "new" and self.params.x0 != 0.0:
+            raise NonZeroStart(f"the new scheme requires x0 = 0, got x0={self.params.x0!r}; use scheme='general'")
         if not self.n_list:
             raise ValueError("n_list must be non-empty")
         if not self.p_list or any(p < 1.0 for p in self.p_list):
@@ -300,6 +302,8 @@ def compare_schemes(spec: StudySpec, workers: int = 1) -> SchemeComparison:
     Reports both error tables side by side; no pass/fail judgement is made
     about the old scheme.
     """
+    if spec.params.x0 != 0.0:
+        raise NonZeroStart(f"the comparison runs the new scheme, which requires x0 = 0, got x0={spec.params.x0!r}")
     gaps = _per_path_sup(spec, ("new", "old"), True, workers)
     return SchemeComparison(
         new=_report_for(spec, "new", gaps),

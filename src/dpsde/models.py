@@ -15,8 +15,12 @@ moduli are provided: the identity, and the Yamada-Watanabe-style
 ``-u*log(u)`` modulus with a linear extension above a small epsilon.
 
 Coefficient callables accept scalar or ndarray ``x`` (elementwise) so the
-simulation kernels can batch paths.  Evaluation is pure; models are
-immutable and safe for concurrent use.
+simulation kernels can batch paths.  ``t`` may be a float or an ndarray
+broadcastable against ``x``: the scheme kernels pass a whole block of grid
+steps at once, with ``x`` of shape (steps, paths) and ``t`` a (steps, 1)
+column, so a coefficient must combine ``t`` and ``x`` elementwise (numpy
+operations, not ``math`` functions of ``t``).  Evaluation is pure; models
+are immutable and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ class Modulus:
 
 Regularity = Union[Lipschitz, Modulus]
 
-Coefficient = Callable[[float, "np.ndarray | float"], "np.ndarray | float"]
+Coefficient = Callable[["np.ndarray | float", "np.ndarray | float"], "np.ndarray | float"]
 
 
 @dataclass(frozen=True)

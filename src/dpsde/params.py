@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AlphaOutOfRange, BetaOutOfRange, NonPositiveHorizon, RhoTooLarge
+from .errors import AlphaOutOfRange, BetaOutOfRange, NonFiniteStart, NonPositiveHorizon, RhoTooLarge
 
 __all__ = ["PerturbationParams", "validate", "beyond_mao"]
 
@@ -43,9 +43,9 @@ def validate(alpha: float, beta: float, x0: float, horizon: float) -> Perturbati
     """Check the well-posedness condition and return a validated record.
 
     Raises AlphaOutOfRange / BetaOutOfRange when a parameter reaches 1,
-    RhoTooLarge when |alpha*beta| >= (1-alpha)(1-beta), and
-    NonPositiveHorizon when horizon <= 0.  Non-finite inputs are rejected
-    with the matching error.
+    NonFiniteStart when x0 is not finite, RhoTooLarge when
+    |alpha*beta| >= (1-alpha)(1-beta), and NonPositiveHorizon when
+    horizon <= 0.  Non-finite inputs are rejected with the matching error.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -56,7 +56,7 @@ def validate(alpha: float, beta: float, x0: float, horizon: float) -> Perturbati
     if not math.isfinite(beta) or beta >= 1.0:
         raise BetaOutOfRange(f"beta must be finite and < 1, got {beta}")
     if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
+        raise NonFiniteStart(f"x0 must be finite, got {x0}")
     denom = (1.0 - alpha) * (1.0 - beta)  # > 0 since alpha, beta < 1
     rho = (alpha * beta) / denom
     if not abs(alpha * beta) < denom:

@@ -6,26 +6,38 @@ maximum and beta times its running minimum:
     X_t = x0 + int_0^t b(s, X_s) ds + int_0^t sigma(s, X_s) dW_s
           + alpha * max_{s<=t} X_s + beta * min_{s<=t} X_s.
 
-All schemes evaluate the coefficients at the delayed state X(s - 1/n),
-which makes the construction explicit step by step.  Writing Phi for the
-delayed drift+diffusion integral, the running-extrema scheme (x0 = 0)
-maintains the triple (Phi, M, I):
+All schemes evaluate the coefficients at the delayed state X(s - 1/n).
+Writing Phi for the delayed drift+diffusion integral, the running-extrema
+scheme (x0 = 0) maintains the triple (Phi, M, I):
 
     M_k = (max_{j<=k} [Phi_j + beta * I_{lag+(j)}])^+ / (1 - alpha)
     I_k = (max_{j<=k} [-Phi_j - alpha * M_{lag+(j)}])^+ / (beta - 1)
     X_k = Phi_k + alpha * M_k + beta * I_k,
 
-where lag+(j) = max(j - m, 0) is the clamped delay.  Each max is over
-quantities known strictly before step k (lag+(j) <= j-1), so the recursion
-is explicit; (max_j g_j)^+ equals max_j (g_j)^+ because x -> x^+ is
-non-decreasing, so a single clamp after the running max suffices.  Since
-1 - alpha > 0 and beta - 1 < 0, M is non-decreasing and >= 0 while I is
-non-increasing and <= 0.
+where lag+(j) = max(j - m, 0) is the clamped delay of m grid steps.
+(max_j g_j)^+ equals max_j (g_j)^+ because x -> x^+ is non-decreasing, so a
+single clamp after the running max suffices.  Since 1 - alpha > 0 and
+beta - 1 < 0, M is non-decreasing and >= 0 while I is non-increasing and
+<= 0.
 
 Two other variants are provided: the plain delayed scheme that feeds the
-lagged state directly into running max/min (any x0), and the general-x0
-variant whose extremum formulas carry x0 explicitly, drop the positive
-part, and start all three components from x0 / (1 - alpha - beta).
+lagged state X_{lag+(k)} directly into running max/min (any x0), and the
+general-x0 variant whose extremum formulas carry x0 explicitly, drop the
+positive part, and start all three components from x0 / (1 - alpha - beta).
+
+Block evaluation.  Step k reads the coefficients at the raw lag k-1-m and
+the extrema at the clamped lag max(k-m, 0), both at least m steps back.
+So every input of the m steps k0..k0+m-1 is final once step k0-1 is done,
+and all three variants advance a whole block per Python iteration
+(ceil(L/m) iterations per call; the last block is partial when L/m is not
+an integer): one coefficient evaluation on the (m, paths) lagged rows with
+t as an (m, 1) column, Phi from one np.add.accumulate over
+[Phi_{k0-1}, increments...], and each running extremum from one
+np.maximum.accumulate (np.minimum for the plain scheme's minimum) over
+[carry, arguments...].  A ufunc accumulate is a sequential left fold, and
+every other operation is elementwise in the same order as the step-by-step
+recursion, so the result is bit-for-bit the step-by-step one; the tests
+hold the step-by-step loops as oracles.
 
 Increments enter integrals by left-point (Ito) sums.  Raw lags (integrand
 arguments) fall back to the constant pre-time segment when they reach
@@ -39,13 +51,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import LagMap, SimGrid, lag_map
-from .errors import DPSDEError
+from .errors import DPSDEError, NonZeroStart
 from .models import CoefficientModel
 from .params import PerturbationParams
 
 __all__ = [
     "SchemePath",
-    "phi_step",
     "simulate_new",
     "simulate_old",
     "simulate_general_x0",
@@ -68,136 +79,96 @@ class SchemePath:
     grid: SimGrid
 
 
-def phi_step(
-    model: CoefficientModel,
-    params: PerturbationParams,
-    grid: SimGrid,
-    lag: LagMap,
-    x_history,
-    increments,
-    k: int,
-    history: float | None = None,
-) -> float:
-    """Increment of the delayed integral Phi over (t_{k-1}, t_k].
-
-    Left-point evaluation: b(t_{k-1}, X_lag)*h + sigma(t_{k-1}, X_lag)*dW
-    with X_lag read m steps back from x_history, or equal to the constant
-    pre-time value (``history``, default params.x0) when the raw lag lands
-    before time zero.
-    """
-    if k < 1:
-        raise ValueError("phi_step needs k >= 1")
-    if history is None:
-        history = params.x0
-    j = k - 1 - lag.lag_steps
-    xlag = x_history[j] if j >= 0 else history
-    t_prev = (k - 1) * grid.step_size
-    dw = increments[k - 1]
-    return model.drift(t_prev, xlag) * grid.step_size + model.diffusion(t_prev, xlag) * dw
-
-
-def _as_lb(increments: np.ndarray) -> np.ndarray:
-    """Increments as a contiguous (L, B) array (time-major for row slicing)."""
+def _as_bl(increments: np.ndarray) -> np.ndarray:
+    """Increments as a (B, L) array, one row per path."""
     arr = np.asarray(increments, dtype=float)
     if arr.ndim == 1:
-        return np.ascontiguousarray(arr[:, None])
+        return arr[None, :]
     if arr.ndim == 2:
-        return np.ascontiguousarray(arr.T)
+        return arr
     raise ValueError(f"increments must be 1-D or (paths, L), got shape {arr.shape}")
 
 
-def _new_kernel(model, alpha, beta, h, m, dw):
-    L, B = dw.shape
-    phi = np.zeros((L + 1, B))
-    big_m = np.zeros((L + 1, B))
-    big_i = np.zeros((L + 1, B))
-    x = np.zeros((L + 1, B))
-    hist = np.zeros(B)
-    gmax = np.zeros(B)
-    qmax = np.zeros(B)
-    one_m_alpha = 1.0 - alpha
-    beta_m1 = beta - 1.0
-    drift, diffusion = model.drift, model.diffusion
-    for k in range(1, L + 1):
-        j = k - 1 - m
-        xlag = x[j] if j >= 0 else hist
-        t_prev = (k - 1) * h
-        p = phi[k - 1] + (drift(t_prev, xlag) * h + diffusion(t_prev, xlag) * dw[k - 1])
-        phi[k] = p
-        lk = k - m if k >= m else 0
-        np.maximum(gmax, p + beta * big_i[lk], out=gmax)
-        mk = np.maximum(gmax, 0.0) / one_m_alpha
-        big_m[k] = mk
-        np.maximum(qmax, -p - alpha * big_m[lk], out=qmax)
-        ik = np.maximum(qmax, 0.0) / beta_m1
-        big_i[k] = ik
-        x[k] = p + alpha * mk + beta * ik
-    return phi, big_m, big_i, x
+def _block_kernel(model, variant, alpha, beta, x0, h, m, dw):
+    """Run one scheme variant ("new", "old" or "general") on (B, L) increments.
 
-
-def _old_kernel(model, alpha, beta, x0, h, m, dw):
-    L, B = dw.shape
+    Returns time-major (phi, big_m, big_i, x), each of shape (L+1, B).  The
+    variants differ only in their start state, their extremum arguments and
+    the positive-part clamp of "new".
+    """
+    B, L = dw.shape
     phi = np.zeros((L + 1, B))
     big_m = np.empty((L + 1, B))
     big_i = np.empty((L + 1, B))
     x = np.empty((L + 1, B))
-    hist = np.full(B, x0)
-    x[0] = x0
-    vmax = np.full(B, x0)
-    vmin = np.full(B, x0)
-    big_m[0] = vmax
-    big_i[0] = vmin
+    # [carry, arguments...] of the two running extrema; for "new" and
+    # "general" the carry is the running max before clamp and division
+    up = np.empty((m + 1, B))
+    down = np.empty((m + 1, B))
+    if variant == "new":
+        # the general formulas at x0 = +0.0: Phi starts at +0.0, so it is
+        # never -0.0 and 0.0 + Phi is Phi bit for bit
+        hist = x0 = 0.0
+        up[0] = down[0] = big_m[0] = big_i[0] = x[0] = 0.0
+    elif variant == "old":
+        hist = x0
+        up[0] = down[0] = big_m[0] = big_i[0] = x[0] = x0
+    else:
+        hist = x0 / (1.0 - alpha - beta)
+        # the time-zero components go through the same expressions as every
+        # later step (value hist up to roundoff), keeping monotonicity and
+        # the step identity exact rather than one ulp off
+        up[0] = x0 + beta * hist
+        down[0] = -x0 - alpha * hist
+        big_m[0] = up[0] / (1.0 - alpha)
+        big_i[0] = down[0] / (beta - 1.0)
+        x[0] = x0 + alpha * big_m[0] + beta * big_i[0]
     drift, diffusion = model.drift, model.diffusion
-    for k in range(1, L + 1):
-        j = k - 1 - m
-        xlag = x[j] if j >= 0 else hist
-        t_prev = (k - 1) * h
-        p = phi[k - 1] + (drift(t_prev, xlag) * h + diffusion(t_prev, xlag) * dw[k - 1])
-        phi[k] = p
-        jv = k - m
-        v = x[jv] if jv >= 0 else hist
-        np.maximum(vmax, v, out=vmax)
-        np.minimum(vmin, v, out=vmin)
-        big_m[k] = vmax
-        big_i[k] = vmin
-        x[k] = x0 + p + alpha * vmax + beta * vmin
+    for k0 in range(1, L + 1, m):
+        k1 = min(k0 + m, L + 1)
+        w = k1 - k0
+        rows = slice(k0, k1)
+        if k0 > m:
+            xlag = x[k0 - 1 - m : k1 - 1 - m]
+            lag = slice(k0 - m, k1 - m)
+        else:  # first block: raw lags before time zero, clamped lags at row 0
+            xlag = np.full((w, B), hist)
+            lag = slice(0, 1)
+        t = (np.arange(k0 - 1, k1 - 1) * h)[:, None]
+        phi[rows] = drift(t, xlag) * h + diffusion(t, xlag) * dw[:, k0 - 1 : k1 - 1].T
+        np.add.accumulate(phi[k0 - 1 : k1], axis=0, out=phi[k0 - 1 : k1])
+        p = phi[rows]
+        base = x0 + p
+        u, d = up[: w + 1], down[: w + 1]
+        if variant == "old":
+            u[1:] = d[1:] = x[lag]
+            np.maximum.accumulate(u, axis=0, out=u)
+            np.minimum.accumulate(d, axis=0, out=d)
+            big_m[rows] = u[1:]
+            big_i[rows] = d[1:]
+        else:
+            u[1:] = base + beta * big_i[lag]
+            # -Phi, not -0.0 - Phi, which would keep the sign of a NaN
+            d[1:] = (-p if variant == "new" else -x0 - p) - alpha * big_m[lag]
+            np.maximum.accumulate(u, axis=0, out=u)
+            np.maximum.accumulate(d, axis=0, out=d)
+            g, q = u[1:], d[1:]
+            if variant == "new":
+                g, q = np.maximum(g, 0.0), np.maximum(q, 0.0)
+            big_m[rows] = g / (1.0 - alpha)
+            big_i[rows] = q / (beta - 1.0)
+        x[rows] = base + alpha * big_m[rows] + beta * big_i[rows]
+        up[0] = u[w]
+        down[0] = d[w]
     return phi, big_m, big_i, x
 
 
-def _general_kernel(model, alpha, beta, x0, h, m, dw):
-    L, B = dw.shape
-    c = x0 / (1.0 - alpha - beta)
-    phi = np.zeros((L + 1, B))
-    big_m = np.empty((L + 1, B))
-    big_i = np.empty((L + 1, B))
-    x = np.empty((L + 1, B))
-    hist = np.full(B, c)
-    one_m_alpha = 1.0 - alpha
-    beta_m1 = beta - 1.0
-    # the time-zero components go through the same expressions as every
-    # later step (value c up to roundoff), keeping monotonicity and the
-    # step identity exact rather than one ulp off
-    gmax = np.full(B, x0 + beta * c)
-    qmax = np.full(B, -x0 - alpha * c)
-    big_m[0] = gmax / one_m_alpha
-    big_i[0] = qmax / beta_m1
-    x[0] = x0 + alpha * big_m[0] + beta * big_i[0]
-    drift, diffusion = model.drift, model.diffusion
-    for k in range(1, L + 1):
-        j = k - 1 - m
-        xlag = x[j] if j >= 0 else hist
-        t_prev = (k - 1) * h
-        p = phi[k - 1] + (drift(t_prev, xlag) * h + diffusion(t_prev, xlag) * dw[k - 1])
-        phi[k] = p
-        lk = k - m if k >= m else 0
-        np.maximum(gmax, x0 + p + beta * big_i[lk], out=gmax)
-        mk = gmax / one_m_alpha
-        big_m[k] = mk
-        np.maximum(qmax, -x0 - p - alpha * big_m[lk], out=qmax)
-        ik = qmax / beta_m1
-        big_i[k] = ik
-        x[k] = x0 + p + alpha * mk + beta * ik
-    return phi, big_m, big_i, x
+def _run_batch(variant, model, params, grid, n, increments):
+    lag = lag_map(grid, n)
+    out = _block_kernel(
+        model, variant, params.alpha, params.beta, params.x0, grid.step_size, lag.lag_steps, _as_bl(increments)
+    )
+    return tuple(a.T for a in out)
 
 
 def simulate_new_batch(
@@ -213,29 +184,20 @@ def simulate_new_batch(
     params.x0 == 0; route nonzero x0 through simulate_general_x0_batch.
     """
     if params.x0 != 0.0:
-        raise DPSDEError("the running-extrema scheme requires x0 = 0; use simulate_general_x0")
-    lag = lag_map(grid, n)
-    dw = _as_lb(increments)
-    out = _new_kernel(model, params.alpha, params.beta, grid.step_size, lag.lag_steps, dw)
-    return tuple(a.T for a in out)
+        raise NonZeroStart("the running-extrema scheme requires x0 = 0; use simulate_general_x0")
+    return _run_batch("new", model, params, grid, n, increments)
 
 
 def simulate_old_batch(model, params, grid, n, increments):
     """Run the plain delayed scheme (lagged state into max/min) on a batch."""
-    lag = lag_map(grid, n)
-    dw = _as_lb(increments)
-    out = _old_kernel(model, params.alpha, params.beta, params.x0, grid.step_size, lag.lag_steps, dw)
-    return tuple(a.T for a in out)
+    return _run_batch("old", model, params, grid, n, increments)
 
 
 def simulate_general_x0_batch(model, params, grid, n, increments):
     """Run the general-x0 scheme (no positive part, x0 in the extremum args)."""
     if abs(1.0 - params.alpha - params.beta) < 1e-15:
         raise DPSDEError("alpha + beta = 1 leaves the pre-time level x0/(1-alpha-beta) undefined")
-    lag = lag_map(grid, n)
-    dw = _as_lb(increments)
-    out = _general_kernel(model, params.alpha, params.beta, params.x0, grid.step_size, lag.lag_steps, dw)
-    return tuple(a.T for a in out)
+    return _run_batch("general", model, params, grid, n, increments)
 
 
 def _single(batch_fn, model, params, grid, n, increments) -> SchemePath:
@@ -267,5 +229,9 @@ def simulate_old(model, params, grid, n, increments) -> SchemePath:
 
 
 def simulate_general_x0(model, params, grid, n, increments) -> SchemePath:
-    """One path of the general-x0 scheme (coincides with simulate_new at x0=0)."""
+    """One path of the general-x0 scheme.
+
+    At x0=0 it equals simulate_new in value, but not bit for bit: where
+    simulate_new writes I = -0.0, this scheme writes 0.0.
+    """
     return _single(simulate_general_x0_batch, model, params, grid, n, increments)

@@ -82,6 +82,134 @@ def brute_old_scheme(model, params, grid, m, dw):
     return np.array(x)
 
 
+def phi_step(
+    model,
+    params,
+    grid,
+    lag,
+    x_history,
+    increments,
+    k: int,
+    history: float | None = None,
+) -> float:
+    """Increment of the delayed integral Phi over (t_{k-1}, t_k].
+
+    Left-point evaluation: b(t_{k-1}, X_lag)*h + sigma(t_{k-1}, X_lag)*dW
+    with X_lag read m steps back from x_history, or equal to the constant
+    pre-time value (``history``, default params.x0) when the raw lag lands
+    before time zero.
+    """
+    if k < 1:
+        raise ValueError("phi_step needs k >= 1")
+    if history is None:
+        history = params.x0
+    j = k - 1 - lag.lag_steps
+    xlag = x_history[j] if j >= 0 else history
+    t_prev = (k - 1) * grid.step_size
+    dw = increments[k - 1]
+    return model.drift(t_prev, xlag) * grid.step_size + model.diffusion(t_prev, xlag) * dw
+
+
+# The per-step scheme recursions, one Python iteration per grid step, kept
+# as the bitwise oracles of the block kernel in dpsde.scheme.  Each takes
+# time-major (L, B) increments and returns time-major (L+1, B) arrays
+# (phi, big_m, big_i, x).
+
+
+def step_new_kernel(model, alpha, beta, h, m, dw):
+    L, B = dw.shape
+    phi = np.zeros((L + 1, B))
+    big_m = np.zeros((L + 1, B))
+    big_i = np.zeros((L + 1, B))
+    x = np.zeros((L + 1, B))
+    hist = np.zeros(B)
+    gmax = np.zeros(B)
+    qmax = np.zeros(B)
+    one_m_alpha = 1.0 - alpha
+    beta_m1 = beta - 1.0
+    drift, diffusion = model.drift, model.diffusion
+    for k in range(1, L + 1):
+        j = k - 1 - m
+        xlag = x[j] if j >= 0 else hist
+        t_prev = (k - 1) * h
+        p = phi[k - 1] + (drift(t_prev, xlag) * h + diffusion(t_prev, xlag) * dw[k - 1])
+        phi[k] = p
+        lk = k - m if k >= m else 0
+        np.maximum(gmax, p + beta * big_i[lk], out=gmax)
+        mk = np.maximum(gmax, 0.0) / one_m_alpha
+        big_m[k] = mk
+        np.maximum(qmax, -p - alpha * big_m[lk], out=qmax)
+        ik = np.maximum(qmax, 0.0) / beta_m1
+        big_i[k] = ik
+        x[k] = p + alpha * mk + beta * ik
+    return phi, big_m, big_i, x
+
+
+def step_old_kernel(model, alpha, beta, x0, h, m, dw):
+    L, B = dw.shape
+    phi = np.zeros((L + 1, B))
+    big_m = np.empty((L + 1, B))
+    big_i = np.empty((L + 1, B))
+    x = np.empty((L + 1, B))
+    hist = np.full(B, x0)
+    x[0] = x0
+    vmax = np.full(B, x0)
+    vmin = np.full(B, x0)
+    big_m[0] = vmax
+    big_i[0] = vmin
+    drift, diffusion = model.drift, model.diffusion
+    for k in range(1, L + 1):
+        j = k - 1 - m
+        xlag = x[j] if j >= 0 else hist
+        t_prev = (k - 1) * h
+        p = phi[k - 1] + (drift(t_prev, xlag) * h + diffusion(t_prev, xlag) * dw[k - 1])
+        phi[k] = p
+        jv = k - m
+        v = x[jv] if jv >= 0 else hist
+        np.maximum(vmax, v, out=vmax)
+        np.minimum(vmin, v, out=vmin)
+        big_m[k] = vmax
+        big_i[k] = vmin
+        x[k] = x0 + p + alpha * vmax + beta * vmin
+    return phi, big_m, big_i, x
+
+
+def step_general_kernel(model, alpha, beta, x0, h, m, dw):
+    L, B = dw.shape
+    c = x0 / (1.0 - alpha - beta)
+    phi = np.zeros((L + 1, B))
+    big_m = np.empty((L + 1, B))
+    big_i = np.empty((L + 1, B))
+    x = np.empty((L + 1, B))
+    hist = np.full(B, c)
+    one_m_alpha = 1.0 - alpha
+    beta_m1 = beta - 1.0
+    # the time-zero components go through the same expressions as every
+    # later step (value c up to roundoff), keeping monotonicity and the
+    # step identity exact rather than one ulp off
+    gmax = np.full(B, x0 + beta * c)
+    qmax = np.full(B, -x0 - alpha * c)
+    big_m[0] = gmax / one_m_alpha
+    big_i[0] = qmax / beta_m1
+    x[0] = x0 + alpha * big_m[0] + beta * big_i[0]
+    drift, diffusion = model.drift, model.diffusion
+    for k in range(1, L + 1):
+        j = k - 1 - m
+        xlag = x[j] if j >= 0 else hist
+        t_prev = (k - 1) * h
+        p = phi[k - 1] + (drift(t_prev, xlag) * h + diffusion(t_prev, xlag) * dw[k - 1])
+        phi[k] = p
+        lk = k - m if k >= m else 0
+        np.maximum(gmax, x0 + p + beta * big_i[lk], out=gmax)
+        mk = gmax / one_m_alpha
+        big_m[k] = mk
+        np.maximum(qmax, -x0 - p - alpha * big_m[lk], out=qmax)
+        ik = qmax / beta_m1
+        big_i[k] = ik
+        x[k] = x0 + p + alpha * mk + beta * ik
+    return phi, big_m, big_i, x
+
+
 def exact_gbm(x0, mu, sigma_bar, grid, increments):
     """Pathwise exact geometric Brownian motion on the grid."""
     w = np.concatenate(([0.0], np.cumsum(increments)))

@@ -146,6 +146,37 @@ def test_config_file_and_flag_override(capsys, tmp_path):
     assert body["metadata"]["grid_steps"] == 256
 
 
+def test_config_file_rejects_unknown_key(capsys, tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("grid-step = 512\n")  # typo for grid-steps
+    out_json = tmp_path / "x.json"
+    code, _, err = run_cli(
+        capsys,
+        "converge", "--config", str(cfg), "--paths", "5",
+        "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(out_json),
+    )
+    assert code == 2
+    assert "'grid-step'" in err
+    assert not out_json.exists()
+
+
+def test_converge_new_scheme_rejects_nonzero_x0_before_work(capsys, tmp_path, monkeypatch):
+    import dpsde.experiments
+
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an invalid study")
+
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    code, _, err = run_cli(
+        capsys,
+        "converge", "--scheme", "new", "--x0", "0.5", "--grid-steps", "256",
+        "--n-list", "8,16,32", "--paths", "5",
+        "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"),
+    )
+    assert code == 2
+    assert "NonZeroStart" in err
+
+
 def test_compare_writes_both_schemes(capsys, tmp_path):
     out_csv = tmp_path / "cmp.csv"
     code, out, _ = run_cli(

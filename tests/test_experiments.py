@@ -4,7 +4,7 @@ import pytest
 from _oracles import exact_gbm
 from dpsde import validate
 from dpsde.driver import generate_increments, make_grid
-from dpsde.errors import DegenerateFit, DelayNotAligned, DelayTooFine
+from dpsde.errors import DegenerateFit, DelayNotAligned, DelayTooFine, NonZeroStart
 from dpsde.experiments import (
     StudySpec,
     compare_schemes,
@@ -41,6 +41,14 @@ def test_spec_enforces_resolution_rule():
 def test_spec_enforces_alignment():
     with pytest.raises(DelayNotAligned):
         small_spec(n_list=(3,))
+
+
+def test_spec_rejects_new_scheme_with_nonzero_x0():
+    with pytest.raises(NonZeroStart):
+        small_spec(params=validate(0.6, -1.0, 0.5, 1.0))
+    small_spec(params=validate(0.6, -1.0, 0.5, 1.0), scheme="general")
+    with pytest.raises(NonZeroStart):
+        compare_schemes(small_spec(params=validate(0.6, -1.0, 0.5, 1.0), scheme="old"))
 
 
 def test_spec_rejects_bad_p_and_paths():

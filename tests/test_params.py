@@ -103,3 +103,12 @@ def test_params_is_immutable():
     with pytest.raises(AttributeError):
         p.alpha = 0.9
     assert isinstance(p, PerturbationParams)
+
+
+def test_non_finite_x0_is_a_named_domain_error():
+    import dpsde
+
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(dpsde.NonFiniteStart) as info:
+            validate(0.0, 0.0, bad, 1.0)
+        assert isinstance(info.value, dpsde.DPSDEError)

@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_new_scheme, brute_old_scheme, random_valid_params
-from dpsde import validate
+from _oracles import (
+    brute_new_scheme,
+    brute_old_scheme,
+    phi_step,
+    random_valid_params,
+    step_general_kernel,
+    step_new_kernel,
+    step_old_kernel,
+)
+from dpsde import beyond_mao, builtin_catalog, validate
 from dpsde.driver import brownian_values, generate_increments, lag_map, make_grid
 from dpsde.errors import DelayNotAligned, DPSDEError
 from dpsde.models import CoefficientModel, Lipschitz, get_model
 from dpsde.reference import MaxSide, exact_singly_perturbed
 from dpsde.scheme import (
-    phi_step,
     simulate_general_x0,
     simulate_general_x0_batch,
     simulate_new,
     simulate_new_batch,
     simulate_old,
+    simulate_old_batch,
 )
 
 
@@ -251,3 +259,43 @@ def test_batch_matches_single_paths():
         path = simulate_new(get_model("affine"), p, grid, 8, dw[i])
         assert np.array_equal(x[i], path.x)
         assert np.array_equal(phi[i], path.phi)
+
+
+def test_block_kernel_matches_step_oracles_bitwise():
+    # int64 views, so a -0.0 where the step recursion writes 0.0 fails too
+    time_model = CoefficientModel(
+        id="time-dependent",
+        drift=lambda t, x: t * x,
+        diffusion=lambda t, x: 1.0 + t * np.sin(x),
+        regularity=Lipschitz(2.0),
+    )
+    models = builtin_catalog() + [time_model]
+    # (L, T, n): m = L/(nT) in {1, 7, 8, L} and one partial last block (m=64)
+    grids = [(24, 1.0, 24), (56, 1.0, 8), (64, 1.0, 8), (40, 1.0, 1), (96, 0.75, 2)]
+    rng = np.random.default_rng(43)
+    seen_beyond_mao = 0
+    for model in models:
+        for L, T, n in grids:
+            grid = make_grid(L, T)
+            h, m = grid.step_size, lag_map(grid, n).lag_steps
+            for paths in (1, 5):
+                dw = rng.normal(0.0, np.sqrt(h), size=(paths, L))
+                lb = np.ascontiguousarray(dw.T)
+                p0 = random_valid_params(rng, horizon=T)
+                px = random_valid_params(rng, x0=float(rng.normal()), horizon=T)
+                seen_beyond_mao += beyond_mao(p0) + beyond_mao(px)
+                cases = [
+                    (simulate_new_batch, p0, step_new_kernel(model, p0.alpha, p0.beta, h, m, lb)),
+                    (simulate_old_batch, px, step_old_kernel(model, px.alpha, px.beta, px.x0, h, m, lb)),
+                    (
+                        simulate_general_x0_batch,
+                        px,
+                        step_general_kernel(model, px.alpha, px.beta, px.x0, h, m, lb),
+                    ),
+                ]
+                for batch_fn, p, expected in cases:
+                    got = batch_fn(model, p, grid, n, dw)
+                    for a, b in zip(got, expected):
+                        assert a.shape == (paths, L + 1)
+                        assert np.array_equal(a.view(np.int64), b.T.view(np.int64)), (model.id, L, n, batch_fn)
+    assert seen_beyond_mao >= 50
