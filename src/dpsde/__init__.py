@@ -30,6 +30,7 @@ from .errors import (
     InvalidGrid,
     NegativeInput,
     NegativeStart,
+    NonFinitePath,
     NonFiniteStart,
     NonPositiveHorizon,
     NonZeroStart,

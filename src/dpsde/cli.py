@@ -24,8 +24,8 @@ from pathlib import Path
 
 from . import checks as checks_mod
 from . import params as params_mod
-from .driver import generate_increments, make_grid
-from .errors import DPSDEError
+from .driver import generate_increments, lag_map, make_grid
+from .errors import DPSDEError, NonZeroStart
 from .experiments import StudySpec, compare_schemes, run_convergence
 from .models import get_model
 from .output import write_path_csv, write_path_json, write_report_csv, write_report_json
@@ -170,6 +170,14 @@ def _cmd_validate(args, config) -> int:
     return 0
 
 
+_SIMULATORS = {
+    "new": simulate_new,
+    "old": simulate_old,
+    "general": simulate_general_x0,
+    "reference": lambda model, params, grid, n, dw: solve_reference(model, params, grid, dw),
+}
+
+
 def _cmd_simulate(args, config) -> int:
     params = params_mod.validate(
         float(_setting(args, config, "alpha", float)),
@@ -183,17 +191,15 @@ def _cmd_simulate(args, config) -> int:
     seed = int(_setting(args, config, "seed", int))
     path_index = int(_setting(args, config, "path_index", int))
     scheme = str(_setting(args, config, "scheme"))
-    dw = generate_increments(seed, path_index, grid)
-    if scheme == "new":
-        path = simulate_new(model, params, grid, n, dw)
-    elif scheme == "old":
-        path = simulate_old(model, params, grid, n, dw)
-    elif scheme == "general":
-        path = simulate_general_x0(model, params, grid, n, dw)
-    elif scheme == "reference":
-        path = solve_reference(model, params, grid, dw)
-    else:
+    # every check before the increments are drawn
+    if scheme not in _SIMULATORS:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "new" and params.x0 != 0.0:
+        raise NonZeroStart(f"--scheme new requires x0 = 0, got x0={params.x0!r}; use --scheme general")
+    if scheme != "reference":
+        lag_map(grid, n)
+    dw = generate_increments(seed, path_index, grid)
+    path = _SIMULATORS[scheme](model, params, grid, n, dw)
     fmt = str(_setting(args, config, "format") or "csv")
     out = Path(args.out) if getattr(args, "out", None) else _out_dir() / f"simulate.{fmt}"
     if fmt == "json":

@@ -59,3 +59,7 @@ class NonFiniteStart(DPSDEError, ValueError):
 
 class NonZeroStart(DPSDEError):
     """The running-extrema scheme was asked to start from x0 != 0."""
+
+
+class NonFinitePath(DPSDEError):
+    """A simulated path produced a non-finite per-path statistic."""

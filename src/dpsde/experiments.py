@@ -15,6 +15,20 @@ index before any reduction (numpy's pairwise mean/std on a fixed array is
 reproducible).  Work may be spread over a thread pool; the worker count
 cannot change any output bit.
 
+Streaming fold.  A chunk of B paths writes its increments into one
+time-major (L, B) array and keeps the reference solution's X only, as an
+(L+1, B) array.  Each scheme run then streams its blocks of at most m rows
+(dpsde.scheme) and folds every block into a running per-path sup with four
+ufunc calls into preallocated buffers: subtract, abs, maximum.reduce over
+the block's rows, and maximum into the running value.  Max is exact, so the
+per-path statistics, and every output bit, equal those of the full
+(L+1, B) scheme output.  A chunk therefore holds about 2*L*B floats plus
+O(m*B) scheme state, rather than four (L+1, B) arrays per solver run; one
+256-path chunk of the stock study at L=2048 peaks near 4.3*L*B*8 bytes
+under tracemalloc, and the tests hold it below 5*L*B*8.  A per-path
+statistic that is not finite raises NonFinitePath, naming the scheme, n
+and the first bad path.
+
 The grid must resolve the shortest delay: studies enforce at least 8 grid
 steps per delay 1/n, keeping lag resolution error subdominant at desk
 scale.
@@ -30,11 +44,11 @@ from typing import Literal
 import numpy as np
 
 from .driver import SimGrid, generate_increments, lag_map, make_grid
-from .errors import DegenerateFit, DelayTooFine, NonZeroStart
+from .errors import DegenerateFit, DelayTooFine, NonFinitePath, NonZeroStart
 from .models import get_model
 from .params import PerturbationParams, validate
-from .reference import solve_reference_batch
-from .scheme import simulate_general_x0_batch, simulate_new_batch, simulate_old_batch
+from .reference import reference_steps
+from .scheme import SCHEME_KINDS, scheme_blocks
 
 __all__ = [
     "SchemeKind",
@@ -55,12 +69,6 @@ __all__ = [
 
 SchemeKind = Literal["new", "old", "general"]
 
-_BATCH_FNS = {
-    "new": simulate_new_batch,
-    "old": simulate_old_batch,
-    "general": simulate_general_x0_batch,
-}
-
 _CHUNK = 256
 _MIN_STEPS_PER_DELAY = 8
 
@@ -80,8 +88,8 @@ class StudySpec:
 
     def __post_init__(self) -> None:
         get_model(self.model_id)
-        if self.scheme not in _BATCH_FNS:
-            raise ValueError(f"scheme must be one of {sorted(_BATCH_FNS)}, got {self.scheme!r}")
+        if self.scheme not in SCHEME_KINDS:
+            raise ValueError(f"scheme must be one of {sorted(SCHEME_KINDS)}, got {self.scheme!r}")
         if self.scheme == "new" and self.params.x0 != 0.0:
             raise NonZeroStart(f"the new scheme requires x0 = 0, got x0={self.params.x0!r}; use scheme='general'")
         if not self.n_list:
@@ -182,24 +190,47 @@ def _per_path_sup(
 
     With against_reference=True the statistic is sup_k |X^n_k - X_k| with X
     from the limit-equation solver on the same increments; otherwise it is
-    sup_k |X^n_k|.  Output arrays are ordered by path index.
+    sup_k |X^n_k|.  Output arrays are ordered by path index.  Raises
+    NonFinitePath if a statistic is not finite.
     """
     model = get_model(spec.model_id)
-    M = spec.paths
+    M, L = spec.paths, spec.grid.steps
     out = {(kind, n): np.empty(M) for kind in kinds for n in spec.n_list}
     bounds = [(s, min(s + _CHUNK, M)) for s in range(0, M, _CHUNK)]
+    widest = max(lag_map(spec.grid, n).lag_steps for n in spec.n_list)
 
     def work(span: tuple[int, int]) -> None:
         s, e = span
-        dw = np.stack([generate_increments(spec.master_seed, i, spec.grid) for i in range(s, e)])
+        B = e - s
+        dw = np.empty((L, B))
+        for j in range(B):
+            dw[:, j] = generate_increments(spec.master_seed, s + j, spec.grid)
         ref = None
         if against_reference:
-            ref = solve_reference_batch(model, spec.params, spec.grid, dw)[3]
+            ref = np.empty((L + 1, B))
+            for k, (_, _, _, x) in enumerate(reference_steps(model, spec.params, spec.grid, dw)):
+                ref[k] = x
+        gap = np.empty((widest, B))
+        block_sup = np.empty(B)
         for kind in kinds:
             for n in spec.n_list:
-                xn = _BATCH_FNS[kind](model, spec.params, spec.grid, n, dw)[3]
-                stat = np.abs(xn - ref) if against_reference else np.abs(xn)
-                out[(kind, n)][s:e] = np.max(stat, axis=1)
+                sup = out[(kind, n)][s:e]
+                sup[:] = 0.0  # every |.| is >= +0.0, so 0 is the fold's identity
+                for k0, k1, _, _, _, x in scheme_blocks(kind, model, spec.params, spec.grid, n, dw):
+                    g = gap[: k1 - k0]
+                    if against_reference:
+                        np.subtract(x, ref[k0:k1], out=g)
+                        np.abs(g, out=g)
+                    else:
+                        np.abs(x, out=g)
+                    np.maximum.reduce(g, axis=0, out=block_sup)
+                    np.maximum(sup, block_sup, out=sup)
+                bad = np.flatnonzero(~np.isfinite(sup))
+                if bad.size:
+                    what = "sup gap" if against_reference else "sup"
+                    raise NonFinitePath(
+                        f"non-finite per-path {what} for scheme {kind!r}, n={n}: first at path index {s + bad[0]}"
+                    )
 
     if workers <= 1:
         for span in bounds:

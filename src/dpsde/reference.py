@@ -20,6 +20,17 @@ The cases are exhaustive and mutually exclusive; ties resolve to (i) where
 all three formulas coincide.  At time zero the equation itself forces
 X_0 = x0 / (1 - alpha - beta) (both extrema equal the state there).
 
+The step is fused in-place arithmetic on preallocated (paths,) buffers.
+It forms s = x0 + Phi_{k+1}, alpha*M_k, beta*I_k and s + alpha*M_k once,
+writes D, and then overwrites D with case (iii) where D < I_k and with case
+(ii) where D > M_k, in that order, as a nested
+where(D > M_k, (ii), where(D < I_k, (iii), D)) would (both cannot hold,
+since I_k <= M_k).  Every sum is taken in the same order as the
+formulas above, so the result is bit for bit the unfused case analysis,
+which the tests keep as an oracle.  reference_steps yields the state after
+every step; solve_reference_batch collects all four components, and a
+strong-error study keeps only X.
+
 For b = 0, sigma = 1, x0 = 0 and one vanishing parameter the solution has
 an explicit running-extremum form, exposed as exact_singly_perturbed and
 used as an independent oracle.
@@ -40,7 +51,7 @@ __all__ = [
     "ReferencePath",
     "MaxSide",
     "MinSide",
-    "implicit_step",
+    "reference_steps",
     "solve_reference",
     "solve_reference_batch",
     "exact_singly_perturbed",
@@ -72,21 +83,50 @@ class MinSide:
     beta: float
 
 
-def implicit_step(x0, alpha, beta, phi_next, big_m, big_i):
-    """One closed-form implicit step; returns (x_next, big_m, big_i).
+def reference_steps(model, params, grid, dw):
+    """Solve the limit equation step by step on time-major (L, B) increments.
 
-    Inputs may be scalars or aligned arrays.  Pure case arithmetic -- no
-    parameter validation, so it can be exercised on illustrative values.
+    A generator: it yields (phi, big_m, big_i, x) at t_0, t_1, ..., t_L,
+    each a (B,) buffer that the next step overwrites.  The parameters are
+    checked before the first yield.
     """
-    D = x0 + phi_next + alpha * big_m + beta * big_i
-    up = D > big_m
-    dn = D < big_i
-    x_next = np.where(
-        up,
-        (x0 + phi_next + beta * big_i) / (1.0 - alpha),
-        np.where(dn, (x0 + phi_next + alpha * big_m) / (1.0 - beta), D),
-    )
-    return x_next, np.where(up, x_next, big_m), np.where(dn, x_next, big_i)
+    alpha, beta, x0, h = params.alpha, params.beta, params.x0, grid.step_size
+    denom = 1.0 - alpha - beta
+    if abs(denom) < 1e-15:
+        raise DPSDEError("alpha + beta = 1 leaves the time-zero state undefined")
+    c0 = x0 / denom
+    L, B = dw.shape
+    phi = np.zeros(B)
+    big_m = np.full(B, c0)
+    big_i = np.full(B, c0)
+    x = np.full(B, c0)
+    yield phi, big_m, big_i, x
+    inc, noise = np.empty(B), np.empty(B)
+    s, a_m, b_i, s_am = np.empty(B), np.empty(B), np.empty(B), np.empty(B)
+    up, dn = np.empty(B, dtype=bool), np.empty(B, dtype=bool)
+    one_m_alpha, one_m_beta = 1.0 - alpha, 1.0 - beta
+    drift, diffusion = model.drift, model.diffusion
+    for k in range(L):
+        t_k = k * h
+        np.multiply(drift(t_k, x), h, out=inc)
+        np.multiply(diffusion(t_k, x), dw[k], out=noise)
+        np.add(inc, noise, out=inc)
+        np.add(phi, inc, out=phi)
+        np.add(x0, phi, out=s)
+        np.multiply(alpha, big_m, out=a_m)
+        np.multiply(beta, big_i, out=b_i)
+        np.add(s, a_m, out=s_am)
+        np.add(s_am, b_i, out=x)  # D: no extremum moves
+        np.greater(x, big_m, out=up)
+        np.less(x, big_i, out=dn)
+        # a new minimum first, then a new maximum over it, as in
+        # where(up, new max, where(dn, new min, D))
+        np.divide(s_am, one_m_beta, out=x, where=dn)
+        np.add(s, b_i, out=s_am)
+        np.divide(s_am, one_m_alpha, out=x, where=up)
+        np.copyto(big_m, x, where=up)
+        np.copyto(big_i, x, where=dn)
+        yield phi, big_m, big_i, x
 
 
 def solve_reference_batch(
@@ -102,39 +142,14 @@ def solve_reference_batch(
     x = x0 + phi + alpha*big_m + beta*big_i holds by construction.
     """
     dw = np.asarray(increments, dtype=float)
-    squeeze = dw.ndim == 1
-    if squeeze:
+    if dw.ndim == 1:
         dw = dw[None, :]
     dw = np.ascontiguousarray(dw.T)
-    L, B = dw.shape
-    h = grid.step_size
-    alpha, beta, x0 = params.alpha, params.beta, params.x0
-    denom = 1.0 - alpha - beta
-    if abs(denom) < 1e-15:
-        raise DPSDEError("alpha + beta = 1 leaves the time-zero state undefined")
-    c0 = x0 / denom
-
-    phi = np.zeros((L + 1, B))
-    big_m = np.empty((L + 1, B))
-    big_i = np.empty((L + 1, B))
-    x = np.empty((L + 1, B))
-    x[0] = c0
-    big_m[0] = c0
-    big_i[0] = c0
-    cur_x = np.full(B, c0)
-    cur_m = np.full(B, c0)
-    cur_i = np.full(B, c0)
-    drift, diffusion = model.drift, model.diffusion
-    for k in range(L):
-        t_k = k * h
-        p = phi[k] + (drift(t_k, cur_x) * h + diffusion(t_k, cur_x) * dw[k])
-        phi[k + 1] = p
-        cur_x, cur_m, cur_i = implicit_step(x0, alpha, beta, p, cur_m, cur_i)
-        x[k + 1] = cur_x
-        big_m[k + 1] = cur_m
-        big_i[k + 1] = cur_i
-    out = (phi.T, big_m.T, big_i.T, x.T)
-    return out
+    out = np.empty((4, dw.shape[0] + 1, dw.shape[1]))
+    for k, rows in enumerate(reference_steps(model, params, grid, dw)):
+        for whole, row in zip(out, rows):
+            whole[k] = row
+    return tuple(a.T for a in out)
 
 
 def solve_reference(model, params, grid, increments) -> ReferencePath:

@@ -39,6 +39,18 @@ every other operation is elementwise in the same order as the step-by-step
 recursion, so the result is bit-for-bit the step-by-step one; the tests
 hold the step-by-step loops as oracles.
 
+Streaming.  A block reads nothing older than the m+1 rows before it: the
+raw lags k0-1-m..k1-2-m and the clamped lags k0-m..k1-1-m all lie in the
+previous block or in that block's first row.  So the kernel keeps two
+(4, m+1, paths) buffers of (Phi, M, I, X), the current block and the
+previous one, where row 0 of a buffer repeats the last row of the block
+before it, and swaps them after each block.  It is a generator over
+time-major (L, paths) increments that yields each block's rows as views
+into the current buffer (the time-zero row first, as a block of its own),
+so its memory is O(m * paths) whatever L is.  The simulate_* functions
+collect the blocks into full (paths, L+1) arrays; a strong-error study
+folds them into per-path sup-gaps instead (see dpsde.experiments).
+
 Increments enter integrals by left-point (Ito) sums.  Raw lags (integrand
 arguments) fall back to the constant pre-time segment when they reach
 negative times; clamped lags never do.
@@ -63,7 +75,11 @@ __all__ = [
     "simulate_new_batch",
     "simulate_old_batch",
     "simulate_general_x0_batch",
+    "scheme_blocks",
+    "SCHEME_KINDS",
 ]
+
+SCHEME_KINDS = ("new", "old", "general")
 
 
 @dataclass(frozen=True)
@@ -89,28 +105,42 @@ def _as_bl(increments: np.ndarray) -> np.ndarray:
     raise ValueError(f"increments must be 1-D or (paths, L), got shape {arr.shape}")
 
 
-def _block_kernel(model, variant, alpha, beta, x0, h, m, dw):
-    """Run one scheme variant ("new", "old" or "general") on (B, L) increments.
+def scheme_blocks(kind, model, params, grid, n, dw):
+    """Run one scheme variant ("new", "old" or "general") on time-major
+    (L, B) increments, one block at a time.
 
-    Returns time-major (phi, big_m, big_i, x), each of shape (L+1, B).  The
-    variants differ only in their start state, their extremum arguments and
-    the positive-part clamp of "new".
+    A generator: it yields (k0, k1, phi, big_m, big_i, x) for the time-zero
+    row (k0=0, k1=1) and then for each block of grid rows k0..k1-1, every
+    array a (k1-k0, B) view into a buffer that later blocks overwrite.  The
+    parameters are checked before the first yield.  The variants differ
+    only in their start state, their extremum arguments and the
+    positive-part clamp of "new".
     """
-    B, L = dw.shape
-    phi = np.zeros((L + 1, B))
-    big_m = np.empty((L + 1, B))
-    big_i = np.empty((L + 1, B))
-    x = np.empty((L + 1, B))
+    if kind not in SCHEME_KINDS:
+        raise ValueError(f"scheme must be one of {list(SCHEME_KINDS)}, got {kind!r}")
+    alpha, beta, x0, h = params.alpha, params.beta, params.x0, grid.step_size
+    if kind == "new" and x0 != 0.0:
+        raise NonZeroStart("the running-extrema scheme requires x0 = 0; use the general scheme")
+    if kind == "general" and abs(1.0 - alpha - beta) < 1e-15:
+        raise DPSDEError("alpha + beta = 1 leaves the pre-time level x0/(1-alpha-beta) undefined")
+    m = lag_map(grid, n).lag_steps
+    L, B = dw.shape
+    # (phi, big_m, big_i, x) of the current and the previous block; row 0
+    # of a buffer is the last row of the block before it
+    cur = np.empty((4, m + 1, B))
+    prev = np.empty((4, m + 1, B))
     # [carry, arguments...] of the two running extrema; for "new" and
     # "general" the carry is the running max before clamp and division
     up = np.empty((m + 1, B))
     down = np.empty((m + 1, B))
-    if variant == "new":
+    phi, big_m, big_i, x = cur
+    phi[0] = 0.0
+    if kind == "new":
         # the general formulas at x0 = +0.0: Phi starts at +0.0, so it is
         # never -0.0 and 0.0 + Phi is Phi bit for bit
         hist = x0 = 0.0
         up[0] = down[0] = big_m[0] = big_i[0] = x[0] = 0.0
-    elif variant == "old":
+    elif kind == "old":
         hist = x0
         up[0] = down[0] = big_m[0] = big_i[0] = x[0] = x0
     else:
@@ -123,51 +153,55 @@ def _block_kernel(model, variant, alpha, beta, x0, h, m, dw):
         big_m[0] = up[0] / (1.0 - alpha)
         big_i[0] = down[0] / (beta - 1.0)
         x[0] = x0 + alpha * big_m[0] + beta * big_i[0]
+    yield 0, 1, phi[:1], big_m[:1], big_i[:1], x[:1]
     drift, diffusion = model.drift, model.diffusion
     for k0 in range(1, L + 1, m):
         k1 = min(k0 + m, L + 1)
         w = k1 - k0
-        rows = slice(k0, k1)
         if k0 > m:
-            xlag = x[k0 - 1 - m : k1 - 1 - m]
-            lag = slice(k0 - m, k1 - m)
+            prev, cur = cur, prev
+            cur[:, 0] = prev[:, m]
+            xlag = prev[3, :w]
+            lag = prev[:, 1 : w + 1]
         else:  # first block: raw lags before time zero, clamped lags at row 0
             xlag = np.full((w, B), hist)
-            lag = slice(0, 1)
+            lag = cur[:, :1]
+        phi, big_m, big_i, x = cur[:, : w + 1]
         t = (np.arange(k0 - 1, k1 - 1) * h)[:, None]
-        phi[rows] = drift(t, xlag) * h + diffusion(t, xlag) * dw[:, k0 - 1 : k1 - 1].T
-        np.add.accumulate(phi[k0 - 1 : k1], axis=0, out=phi[k0 - 1 : k1])
-        p = phi[rows]
+        phi[1:] = drift(t, xlag) * h + diffusion(t, xlag) * dw[k0 - 1 : k1 - 1]
+        np.add.accumulate(phi, axis=0, out=phi)
+        p = phi[1:]
         base = x0 + p
         u, d = up[: w + 1], down[: w + 1]
-        if variant == "old":
-            u[1:] = d[1:] = x[lag]
+        if kind == "old":
+            u[1:] = d[1:] = lag[3]
             np.maximum.accumulate(u, axis=0, out=u)
             np.minimum.accumulate(d, axis=0, out=d)
-            big_m[rows] = u[1:]
-            big_i[rows] = d[1:]
+            big_m[1:] = u[1:]
+            big_i[1:] = d[1:]
         else:
-            u[1:] = base + beta * big_i[lag]
+            u[1:] = base + beta * lag[2]
             # -Phi, not -0.0 - Phi, which would keep the sign of a NaN
-            d[1:] = (-p if variant == "new" else -x0 - p) - alpha * big_m[lag]
+            d[1:] = (-p if kind == "new" else -x0 - p) - alpha * lag[1]
             np.maximum.accumulate(u, axis=0, out=u)
             np.maximum.accumulate(d, axis=0, out=d)
             g, q = u[1:], d[1:]
-            if variant == "new":
+            if kind == "new":
                 g, q = np.maximum(g, 0.0), np.maximum(q, 0.0)
-            big_m[rows] = g / (1.0 - alpha)
-            big_i[rows] = q / (beta - 1.0)
-        x[rows] = base + alpha * big_m[rows] + beta * big_i[rows]
+            big_m[1:] = g / (1.0 - alpha)
+            big_i[1:] = q / (beta - 1.0)
+        x[1:] = base + alpha * big_m[1:] + beta * big_i[1:]
         up[0] = u[w]
         down[0] = d[w]
-    return phi, big_m, big_i, x
+        yield k0, k1, p, big_m[1:], big_i[1:], x[1:]
 
 
-def _run_batch(variant, model, params, grid, n, increments):
-    lag = lag_map(grid, n)
-    out = _block_kernel(
-        model, variant, params.alpha, params.beta, params.x0, grid.step_size, lag.lag_steps, _as_bl(increments)
-    )
+def _run_batch(kind, model, params, grid, n, increments):
+    dw = np.ascontiguousarray(_as_bl(increments).T)
+    out = np.empty((4, dw.shape[0] + 1, dw.shape[1]))
+    for k0, k1, *block in scheme_blocks(kind, model, params, grid, n, dw):
+        for whole, part in zip(out, block):
+            whole[k0:k1] = part
     return tuple(a.T for a in out)
 
 
@@ -183,8 +217,6 @@ def simulate_new_batch(
     Returns (phi, big_m, big_i, x), each of shape (paths, L+1).  Requires
     params.x0 == 0; route nonzero x0 through simulate_general_x0_batch.
     """
-    if params.x0 != 0.0:
-        raise NonZeroStart("the running-extrema scheme requires x0 = 0; use simulate_general_x0")
     return _run_batch("new", model, params, grid, n, increments)
 
 
@@ -195,8 +227,6 @@ def simulate_old_batch(model, params, grid, n, increments):
 
 def simulate_general_x0_batch(model, params, grid, n, increments):
     """Run the general-x0 scheme (no positive part, x0 in the extremum args)."""
-    if abs(1.0 - params.alpha - params.beta) < 1e-15:
-        raise DPSDEError("alpha + beta = 1 leaves the pre-time level x0/(1-alpha-beta) undefined")
     return _run_batch("general", model, params, grid, n, increments)
 
 

@@ -210,6 +210,52 @@ def step_general_kernel(model, alpha, beta, x0, h, m, dw):
     return phi, big_m, big_i, x
 
 
+def implicit_step(x0, alpha, beta, phi_next, big_m, big_i):
+    """One closed-form implicit step; returns (x_next, big_m, big_i).
+
+    Inputs may be scalars or aligned arrays.  Pure case arithmetic -- no
+    parameter validation, so it can be exercised on illustrative values.
+    """
+    D = x0 + phi_next + alpha * big_m + beta * big_i
+    up = D > big_m
+    dn = D < big_i
+    x_next = np.where(
+        up,
+        (x0 + phi_next + beta * big_i) / (1.0 - alpha),
+        np.where(dn, (x0 + phi_next + alpha * big_m) / (1.0 - beta), D),
+    )
+    return x_next, np.where(up, x_next, big_m), np.where(dn, x_next, big_i)
+
+
+def step_reference(model, params, h, dw):
+    """The limit-equation solver as one implicit_step per grid step.
+
+    Bitwise oracle of the fused step in dpsde.reference: takes time-major
+    (L, B) increments and returns time-major (L+1, B) arrays
+    (phi, big_m, big_i, x).
+    """
+    L, B = dw.shape
+    alpha, beta, x0 = params.alpha, params.beta, params.x0
+    c0 = x0 / (1.0 - alpha - beta)
+    phi = np.zeros((L + 1, B))
+    big_m = np.empty((L + 1, B))
+    big_i = np.empty((L + 1, B))
+    x = np.empty((L + 1, B))
+    x[0] = big_m[0] = big_i[0] = c0
+    cur_x = np.full(B, c0)
+    cur_m = np.full(B, c0)
+    cur_i = np.full(B, c0)
+    for k in range(L):
+        t_k = k * h
+        p = phi[k] + (model.drift(t_k, cur_x) * h + model.diffusion(t_k, cur_x) * dw[k])
+        phi[k + 1] = p
+        cur_x, cur_m, cur_i = implicit_step(x0, alpha, beta, p, cur_m, cur_i)
+        x[k + 1] = cur_x
+        big_m[k + 1] = cur_m
+        big_i[k + 1] = cur_i
+    return phi, big_m, big_i, x
+
+
 def exact_gbm(x0, mu, sigma_bar, grid, increments):
     """Pathwise exact geometric Brownian motion on the grid."""
     w = np.concatenate(([0.0], np.cumsum(increments)))

@@ -177,6 +177,45 @@ def test_converge_new_scheme_rejects_nonzero_x0_before_work(capsys, tmp_path, mo
     assert "NonZeroStart" in err
 
 
+def test_simulate_new_scheme_rejects_nonzero_x0_before_work(capsys, tmp_path, monkeypatch):
+    import dpsde.cli
+
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an invalid path")
+
+    monkeypatch.setattr(dpsde.cli, "generate_increments", no_increments)
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--scheme", "new", "--x0", "0.5", "--grid-steps", "256", "--n", "8",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    assert "NonZeroStart" in err and "--scheme general" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_converge_non_finite_path_exits_2(capsys, tmp_path, monkeypatch):
+    import dpsde.experiments
+    from dpsde.models import CoefficientModel, Lipschitz
+
+    nan_late = CoefficientModel(
+        id="nan-after-half",
+        drift=lambda t, x: np.where(t > 0.5, np.nan, 0.0) + 0.0 * x,
+        diffusion=lambda t, x: 1.0 + 0.0 * x,
+        regularity=Lipschitz(1.0),
+    )
+    monkeypatch.setattr(dpsde.experiments, "get_model", lambda model_id: nan_late)
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys,
+        "converge", "--grid-steps", "256", "--n-list", "8,16,32", "--paths", "5",
+        "--out-csv", str(out_csv), "--out-json", str(tmp_path / "x.json"),
+    )
+    assert code == 2
+    assert "NonFinitePath" in err and "n=8" in err
+    assert not out_csv.exists()
+
+
 def test_compare_writes_both_schemes(capsys, tmp_path):
     out_csv = tmp_path / "cmp.csv"
     code, out, _ = run_cli(

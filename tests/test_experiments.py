@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from _oracles import exact_gbm
-from dpsde import validate
+import dpsde.experiments
+from _oracles import exact_gbm, random_valid_params
+from dpsde import beyond_mao, validate
 from dpsde.driver import generate_increments, make_grid
-from dpsde.errors import DegenerateFit, DelayNotAligned, DelayTooFine, NonZeroStart
+from dpsde.errors import DegenerateFit, DelayNotAligned, DelayTooFine, NonFinitePath, NonZeroStart
 from dpsde.experiments import (
     StudySpec,
     compare_schemes,
@@ -15,7 +18,9 @@ from dpsde.experiments import (
     run_convergence,
     strong_error,
 )
-from dpsde.scheme import simulate_old_batch
+from dpsde.models import CoefficientModel, Lipschitz, get_model
+from dpsde.reference import solve_reference_batch
+from dpsde.scheme import simulate_general_x0_batch, simulate_new_batch, simulate_old_batch
 
 
 def small_spec(**kw):
@@ -231,3 +236,89 @@ def test_default_study_matches_documented_defaults():
     assert spec.paths == 2000
     assert spec.grid.steps == 4096
     assert spec.master_seed == 42
+
+
+_BATCH_FNS = {"new": simulate_new_batch, "old": simulate_old_batch, "general": simulate_general_x0_batch}
+
+
+def materialised_sups(spec, n, against_reference):
+    """sup_k |X^n_k - X_k| (or sup_k |X^n_k|) from the full (paths, L+1) outputs."""
+    model = get_model(spec.model_id)
+    dw = np.stack([generate_increments(spec.master_seed, i, spec.grid) for i in range(spec.paths)])
+    x = _BATCH_FNS[spec.scheme](model, spec.params, spec.grid, n, dw)[3]
+    if against_reference:
+        x = x - solve_reference_batch(model, spec.params, spec.grid, dw)[3]
+    return np.max(np.abs(x), axis=1)
+
+
+def test_streaming_fold_matches_materialised_sups_bitwise():
+    # int64 views; 300 paths span two chunks, and (L=96, T=0.75, n=2) has a
+    # partial last block (m=64)
+    rng = np.random.default_rng(61)
+    pairs = [(0.6, -1.0), (-2.0, 0.5)]
+    pairs += [(p.alpha, p.beta) for p in (random_valid_params(rng) for _ in range(2))]
+    assert sum(beyond_mao(validate(a, b, 0.0, 1.0)) for a, b in pairs) >= 2
+    for L, T, n in [(96, 0.75, 2), (96, 0.75, 8), (256, 1.0, 32)]:
+        for alpha, beta in pairs:
+            for kind in ("new", "old", "general"):
+                spec = small_spec(
+                    model_id="bounded-trig",
+                    params=validate(alpha, beta, 0.0 if kind == "new" else 0.3, T),
+                    n_list=(n,),
+                    p_list=(2.0, 3.0),
+                    paths=300,
+                    grid=make_grid(L, T),
+                    scheme=kind,
+                )
+                expected = materialised_sups(spec, n, True)
+                got = path_sup_gaps(spec, n)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (L, n, alpha, beta, kind)
+                sups = materialised_sups(spec, n, False)
+                for row in moment_scan(spec):
+                    want = float(np.mean(sups**row.p))
+                    assert np.float64(row.estimate).view(np.int64) == np.float64(want).view(np.int64)
+
+
+def test_stock_chunk_peak_memory_is_bounded():
+    # one 256-path chunk of the stock study keeps O(m*B) scheme state, the
+    # (L, B) increments and the reference X, not four (L+1, B) outputs per n
+    L, B = 2048, 256
+    spec = default_study(grid_steps=L, paths=B)
+    tracemalloc.start()
+    try:
+        run_convergence(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * L * B * 8, peak / (L * B * 8)
+
+
+def nan_after_half(condition=lambda x: True):
+    return CoefficientModel(
+        id="nan-after-half",
+        drift=lambda t, x: np.where((t > 0.5) & condition(x), np.nan, 0.0) + 0.0 * x,
+        diffusion=lambda t, x: 1.0 + 0.0 * x,
+        regularity=Lipschitz(1.0),
+    )
+
+
+def test_non_finite_gap_raises_naming_kind_n_and_path(monkeypatch):
+    monkeypatch.setattr(dpsde.experiments, "get_model", lambda model_id: nan_after_half())
+    with pytest.raises(NonFinitePath, match=r"'new', n=16: first at path index 0"):
+        run_convergence(small_spec(n_list=(16, 8)))
+    with pytest.raises(NonFinitePath, match=r"'old', n=8"):
+        moment_scan(small_spec(scheme="old"))
+
+
+def test_non_finite_gap_names_first_bad_path(monkeypatch):
+    # with this seed only paths in the second chunk ever pass x = 3 after t = 0.5
+    model = nan_after_half(lambda x: x > 3.0)
+    monkeypatch.setattr(dpsde.experiments, "get_model", lambda model_id: model)
+    spec = small_spec(params=validate(0.0, 0.0, 0.0, 1.0), n_list=(8,), paths=300, master_seed=18)
+    dw = np.stack([generate_increments(spec.master_seed, i, spec.grid) for i in range(spec.paths)])
+    x = simulate_new_batch(model, spec.params, spec.grid, 8, dw)[3]
+    ref = solve_reference_batch(model, spec.params, spec.grid, dw)[3]
+    first = int(np.flatnonzero(~np.isfinite(np.max(np.abs(x - ref), axis=1)))[0])
+    assert first >= 256
+    with pytest.raises(NonFinitePath, match=rf"first at path index {first}$"):
+        path_sup_gaps(spec, 8)

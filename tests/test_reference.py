@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from _oracles import random_valid_params
-from dpsde import validate
+from _oracles import implicit_step, random_valid_params, step_reference
+from dpsde import beyond_mao, builtin_catalog, validate
 from dpsde.driver import brownian_values, coarsen_values, generate_increments, make_grid
 from dpsde.models import CoefficientModel, Lipschitz, get_model
 from dpsde.reference import (
     MaxSide,
     MinSide,
     exact_singly_perturbed,
-    implicit_step,
     solve_reference,
     solve_reference_batch,
 )
@@ -171,3 +170,22 @@ def test_batch_matches_single():
         single = solve_reference(get_model("affine"), p, grid, dw[i])
         assert np.array_equal(x[i], single.x)
         assert np.array_equal(phi[i], single.phi)
+
+
+def test_fused_step_matches_implicit_step_oracle_bitwise():
+    # int64 views, so a -0.0 where the oracle writes 0.0 fails too
+    rng = np.random.default_rng(53)
+    grid = make_grid(256, 1.0)
+    seen_beyond_mao = 0
+    for model in builtin_catalog():
+        for paths in (1, 5):
+            for x0 in (0.0, float(rng.normal())):
+                p = random_valid_params(rng, x0=x0)
+                seen_beyond_mao += beyond_mao(p)
+                dw = rng.normal(0.0, np.sqrt(grid.step_size), size=(paths, grid.steps))
+                got = solve_reference_batch(model, p, grid, dw)
+                expected = step_reference(model, p, grid.step_size, np.ascontiguousarray(dw.T))
+                for a, b in zip(got, expected):
+                    assert a.shape == (paths, grid.steps + 1)
+                    assert np.array_equal(a.view(np.int64), b.T.view(np.int64)), (model.id, paths, p)
+    assert seen_beyond_mao >= 5
