@@ -9,11 +9,9 @@ deterministic Monte Carlo harness for strong-convergence studies.
 """
 
 from .driver import (
-    BrownianDriver,
     LagMap,
     SimGrid,
     brownian_values,
-    coarsen_increments,
     coarsen_values,
     generate_increments,
     lag_map,

@@ -3,10 +3,12 @@
 Each check recomputes a structural property through an independent route
 (direct inequality evaluation, from-scratch maxima, closed forms) and
 compares against the library's incremental implementations.  Runs in a few
-seconds; prints one PASS/FAIL line per check.
+seconds; prints one PASS/FAIL line per check, ending in its duration.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -183,10 +185,12 @@ _CHECKS = [
 
 
 def run_all_checks(printer=print) -> bool:
-    """Run every built-in check; print one PASS/FAIL line each."""
+    """Run every built-in check; print one PASS/FAIL line each, with its duration."""
     all_ok = True
     for name, fn in _CHECKS:
+        t0 = time.perf_counter()
         ok, detail = fn()
-        printer(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        elapsed = time.perf_counter() - t0
+        printer(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({elapsed:.3f} s)")
         all_ok = all_ok and ok
     return all_ok

@@ -27,12 +27,10 @@ from .errors import DelayNotAligned, DelayTooFine, InvalidGrid
 __all__ = [
     "SimGrid",
     "LagMap",
-    "BrownianDriver",
     "make_grid",
     "lag_map",
     "generate_increments",
     "brownian_values",
-    "coarsen_increments",
     "coarsen_values",
 ]
 
@@ -60,14 +58,6 @@ class LagMap:
     """Delay of a whole number of grid steps (m >= 1)."""
 
     lag_steps: int
-
-    def clamped(self, k: int) -> int:
-        """Index of the clamped lag max(t_k - delay, 0)."""
-        return max(k - self.lag_steps, 0)
-
-    def raw(self, k: int) -> int:
-        """Index of the raw lag t_k - delay; negative means pre-time history."""
-        return k - self.lag_steps
 
 
 def make_grid(steps: int, horizon: float) -> SimGrid:
@@ -116,17 +106,6 @@ def generate_increments(master_seed: int, path_index: int, grid: SimGrid) -> np.
     return gen.standard_normal(grid.steps) * np.sqrt(grid.step_size)
 
 
-@dataclass(frozen=True)
-class BrownianDriver:
-    """Handle for one path's increment stream (seed + substream index)."""
-
-    master_seed: int
-    path_index: int
-
-    def increments(self, grid: SimGrid) -> np.ndarray:
-        return generate_increments(self.master_seed, self.path_index, grid)
-
-
 def brownian_values(increments: np.ndarray) -> np.ndarray:
     """Brownian path W_0 = 0, W_k = W_{k-1} + dW_{k-1} (length L+1)."""
     increments = np.asarray(increments, dtype=float)
@@ -134,22 +113,6 @@ def brownian_values(increments: np.ndarray) -> np.ndarray:
     out[..., 0] = 0.0
     np.cumsum(increments, axis=-1, out=out[..., 1:])
     return out
-
-
-def coarsen_increments(fine: np.ndarray, factor: int) -> np.ndarray:
-    """Aggregate fine increments in groups of ``factor`` (telescoping sums).
-
-    The coarse path is the same Brownian motion observed on the coarser
-    grid; summation is left-to-right within each group, so reconstructed
-    values agree with the fine ones at shared times up to float roundoff.
-    For bitwise-equal coupled values across resolutions use
-    :func:`coarsen_values` on the cumulative path instead.
-    """
-    fine = np.asarray(fine, dtype=float)
-    L = fine.shape[-1]
-    if factor < 1 or L % factor != 0:
-        raise InvalidGrid(f"factor {factor} does not divide {L} increments")
-    return np.add.reduceat(fine, np.arange(0, L, factor), axis=-1)
 
 
 def coarsen_values(values: np.ndarray, factor: int) -> np.ndarray:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
@@ -248,10 +248,14 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def path_sup_gaps(spec: StudySpec, n: int, workers: int = 1) -> np.ndarray:
-    """Per-path sup_k |X^n_k - X_k| for one delay parameter (common noise)."""
+    """Per-path sup_k |X^n_k - X_k| for one delay parameter (common noise).
+
+    Only that delay runs; a path's gap does not depend on the other n.
+    """
     if n not in spec.n_list:
         raise ValueError(f"n={n} is not in the study's n_list {spec.n_list}")
-    return _per_path_sup(spec, (spec.scheme,), True, workers)[(spec.scheme, n)]
+    one = replace(spec, n_list=(n,))
+    return _per_path_sup(one, (spec.scheme,), True, workers)[(spec.scheme, n)]
 
 
 def strong_error(spec: StudySpec, n: int, p: float, workers: int = 1) -> tuple[float, float]:

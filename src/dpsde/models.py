@@ -15,7 +15,9 @@ moduli are provided: the identity, and the Yamada-Watanabe-style
 ``-u*log(u)`` modulus with a linear extension above a small epsilon.
 
 Coefficient callables accept scalar or ndarray ``x`` (elementwise) so the
-simulation kernels can batch paths.  ``t`` may be a float or an ndarray
+simulation kernels can batch paths; a single-path reference solve calls
+them with a Python float ``x`` and counts on a scalar giving the bits of
+the matching array element.  ``t`` may be a float or an ndarray
 broadcastable against ``x``: the scheme kernels pass a whole block of grid
 steps at once, with ``x`` of shape (steps, paths) and ``t`` a (steps, 1)
 column, so a coefficient must combine ``t`` and ``x`` elementwise (numpy

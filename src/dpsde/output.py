@@ -11,6 +11,8 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .experiments import ConvergenceReport, SchemeComparison
 
 __all__ = [
@@ -30,13 +32,11 @@ def _fmt(value: float) -> str:
 
 def write_path_csv(path_obj, dest: str | Path) -> None:
     """Write one simulated path (scheme or reference) as k,t,phi,M,I,X rows."""
-    times = path_obj.grid.times()
+    columns = (path_obj.grid.times(), path_obj.phi, path_obj.big_m, path_obj.big_i, path_obj.x)
+    # whole columns as Python floats, whose repr is what _fmt writes
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
     lines = [_PATH_HEADER]
-    for k in range(len(path_obj.x)):
-        lines.append(
-            f"{k},{_fmt(times[k])},{_fmt(path_obj.phi[k])},"
-            f"{_fmt(path_obj.big_m[k])},{_fmt(path_obj.big_i[k])},{_fmt(path_obj.x[k])}"
-        )
+    lines += [f"{k},{t!r},{phi!r},{m!r},{i!r},{x!r}" for k, (t, phi, m, i, x) in enumerate(rows)]
     Path(dest).write_text("\n".join(lines) + "\n")
 
 

@@ -31,6 +31,16 @@ which the tests keep as an oracle.  reference_steps yields the state after
 every step; solve_reference_batch collects all four components, and a
 strong-error study keeps only X.
 
+A batch of exactly one path (solve_reference, dpsde simulate --scheme
+reference) is solved by a plain Python-float loop instead: with one element
+per buffer, the fused step's twenty-odd ufunc calls are all overhead.  The
+choice depends on the path count alone.  The loop does the same IEEE-754
+double operations in the same order (phi + (drift*h + diffusion*dW),
+s = x0 + phi, D = (s + alpha*M_k) + beta*I_k, the same divisors) and takes
+case (ii) if D > M_k, else case (iii) if D < I_k.  Coefficients act
+elementwise, so a float x gives the bits of the matching array element,
+and the tests compare both routes bit for bit on every catalog model.
+
 For b = 0, sigma = 1, x0 = 0 and one vanishing parameter the solution has
 an explicit running-extremum form, exposed as exact_singly_perturbed and
 used as an independent oracle.
@@ -83,6 +93,14 @@ class MinSide:
     beta: float
 
 
+def _time_zero_state(params: PerturbationParams) -> float:
+    """X_0 = M_0 = I_0 = x0 / (1 - alpha - beta), which the equation forces."""
+    denom = 1.0 - params.alpha - params.beta
+    if abs(denom) < 1e-15:
+        raise DPSDEError("alpha + beta = 1 leaves the time-zero state undefined")
+    return params.x0 / denom
+
+
 def reference_steps(model, params, grid, dw):
     """Solve the limit equation step by step on time-major (L, B) increments.
 
@@ -91,10 +109,7 @@ def reference_steps(model, params, grid, dw):
     checked before the first yield.
     """
     alpha, beta, x0, h = params.alpha, params.beta, params.x0, grid.step_size
-    denom = 1.0 - alpha - beta
-    if abs(denom) < 1e-15:
-        raise DPSDEError("alpha + beta = 1 leaves the time-zero state undefined")
-    c0 = x0 / denom
+    c0 = _time_zero_state(params)
     L, B = dw.shape
     phi = np.zeros(B)
     big_m = np.full(B, c0)
@@ -129,6 +144,33 @@ def reference_steps(model, params, grid, dw):
         yield phi, big_m, big_i, x
 
 
+def _solve_one_path(model, params, grid, dw):
+    """reference_steps for one path in Python floats: four lists of L+1 values."""
+    alpha, beta, x0, h = params.alpha, params.beta, params.x0, grid.step_size
+    c0 = _time_zero_state(params)
+    phi, big_m, big_i, x = 0.0, c0, c0, c0
+    phis, big_ms, big_is, xs = [phi], [big_m], [big_i], [x]
+    one_m_alpha, one_m_beta = 1.0 - alpha, 1.0 - beta
+    drift, diffusion = model.drift, model.diffusion
+    for k, dw_k in enumerate(dw.tolist()):
+        t_k = k * h
+        phi = phi + (drift(t_k, x) * h + diffusion(t_k, x) * dw_k)
+        s = x0 + phi
+        s_am = s + alpha * big_m
+        x = s_am + beta * big_i
+        if x > big_m:
+            x = (s + beta * big_i) / one_m_alpha
+            big_m = x
+        elif x < big_i:
+            x = s_am / one_m_beta
+            big_i = x
+        phis.append(phi)
+        big_ms.append(big_m)
+        big_is.append(big_i)
+        xs.append(x)
+    return phis, big_ms, big_is, xs
+
+
 def solve_reference_batch(
     model: CoefficientModel,
     params: PerturbationParams,
@@ -139,11 +181,14 @@ def solve_reference_batch(
 
     Returns (phi, big_m, big_i, x), each (paths, L+1); big_m/big_i are the
     exact running extrema of x and the step identity
-    x = x0 + phi + alpha*big_m + beta*big_i holds by construction.
+    x = x0 + phi + alpha*big_m + beta*big_i holds by construction.  One
+    path is solved by the Python-float loop, more by reference_steps.
     """
     dw = np.asarray(increments, dtype=float)
     if dw.ndim == 1:
         dw = dw[None, :]
+    if dw.shape[0] == 1:
+        return tuple(np.array([row]) for row in _solve_one_path(model, params, grid, dw[0]))
     dw = np.ascontiguousarray(dw.T)
     out = np.empty((4, dw.shape[0] + 1, dw.shape[1]))
     for k, rows in enumerate(reference_steps(model, params, grid, dw)):

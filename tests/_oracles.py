@@ -25,6 +25,16 @@ def random_valid_params(rng, x0=0.0, horizon=1.0):
             continue
 
 
+def clamped_lag(lag, k: int) -> int:
+    """Index of the clamped lag max(t_k - delay, 0) of a LagMap."""
+    return max(k - lag.lag_steps, 0)
+
+
+def raw_lag(lag, k: int) -> int:
+    """Index of the raw lag t_k - delay; negative means pre-time history."""
+    return k - lag.lag_steps
+
+
 def brute_skorohod(y):
     """O(L^2) prefix-max reflection: k_j = max_{i<=j} (-y_i)^+."""
     y = np.asarray(y, dtype=float)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from _oracles import clamped_lag, raw_lag
 from dpsde.driver import (
     brownian_values,
-    coarsen_increments,
     coarsen_values,
     generate_increments,
     lag_map,
@@ -33,9 +33,9 @@ def test_lag_map_examples():
     grid = make_grid(4096, 1.0)
     lm = lag_map(grid, 8)
     assert lm.lag_steps == 512
-    assert lm.clamped(1000) == 488
-    assert lm.clamped(100) == 0
-    assert lm.raw(100) == -412
+    assert clamped_lag(lm, 1000) == 488
+    assert clamped_lag(lm, 100) == 0
+    assert raw_lag(lm, 100) == -412
 
 
 def test_lag_map_misaligned():
@@ -59,20 +59,12 @@ def test_clamped_lag_is_monotone_and_explicit():
     m = lm.lag_steps
     prev = 0
     for k in range(257):
-        lk = lm.clamped(k)
+        lk = clamped_lag(lm, k)
         assert lk >= prev
         if k >= 1:
             assert lk <= k - 1  # recursion stays explicit
         prev = lk
     assert m >= 1
-
-
-def test_brownian_driver_delegates_to_stream():
-    from dpsde.driver import BrownianDriver
-
-    grid = make_grid(64, 1.0)
-    drv = BrownianDriver(master_seed=42, path_index=3)
-    assert np.array_equal(drv.increments(grid), generate_increments(42, 3, grid))
 
 
 def test_increments_deterministic_and_stream_separated():
@@ -117,20 +109,6 @@ def test_coarsen_values_is_bitwise_subsample():
     assert np.array_equal(wc, w[::8])
 
 
-def test_coarsen_increments_telescopes():
-    grid = make_grid(4096, 1.0)
-    fine = generate_increments(5, 1, grid)
-    coarse = coarsen_increments(fine, 8)
-    assert len(coarse) == 512
-    wf = brownian_values(fine)
-    wc = brownian_values(coarse)
-    # same Brownian motion at shared times (float reassociation only)
-    assert np.allclose(wc, wf[::8], rtol=0.0, atol=1e-12)
-    assert coarse[0] == pytest.approx(np.sum(fine[:8]), rel=1e-15)
-
-
 def test_coarsen_rejects_non_divisor():
-    with pytest.raises(InvalidGrid):
-        coarsen_increments(np.zeros(10), 3)
     with pytest.raises(InvalidGrid):
         coarsen_values(np.zeros(11), 4)

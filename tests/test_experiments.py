@@ -322,3 +322,31 @@ def test_non_finite_gap_names_first_bad_path(monkeypatch):
     assert first >= 256
     with pytest.raises(NonFinitePath, match=rf"first at path index {first}$"):
         path_sup_gaps(spec, 8)
+
+
+def test_one_delay_runs_only_that_delay(monkeypatch):
+    # path_sup_gaps and strong_error run one reference solve and one scheme
+    # run per chunk (300 paths: two chunks), not every n of the study, and
+    # give the full study's gaps bit for bit
+    spec = small_spec(paths=300)
+    full = dpsde.experiments._per_path_sup(spec, (spec.scheme,), True)
+    calls = []
+
+    def counting(real, label):
+        def wrapper(*args):
+            calls.append((label, args[4] if label == "scheme" else None))
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(dpsde.experiments, "scheme_blocks", counting(dpsde.experiments.scheme_blocks, "scheme"))
+    monkeypatch.setattr(dpsde.experiments, "reference_steps", counting(dpsde.experiments.reference_steps, "ref"))
+    for n in spec.n_list:
+        calls.clear()
+        got = path_sup_gaps(spec, n)
+        assert calls == [("ref", None), ("scheme", n)] * 2
+        assert np.array_equal(got.view(np.int64), full[(spec.scheme, n)].view(np.int64))
+        calls.clear()
+        est, _ = strong_error(spec, n, 2.0)
+        assert calls == [("ref", None), ("scheme", n)] * 2
+        assert np.float64(est).view(np.int64) == np.mean(full[(spec.scheme, n)] ** 2.0).view(np.int64)

@@ -9,6 +9,7 @@ from dpsde.reference import (
     MaxSide,
     MinSide,
     exact_singly_perturbed,
+    reference_steps,
     solve_reference,
     solve_reference_batch,
 )
@@ -162,14 +163,16 @@ def test_small_x0_shift_moves_path_continuously():
 
 
 def test_batch_matches_single():
+    # a batch runs the vector step, one path the Python-float loop
     grid = make_grid(128, 1.0)
     p = validate(0.3, -0.4, 0.5, 1.0)
     dw = np.stack([generate_increments(23, i, grid) for i in range(4)])
-    phi, big_m, big_i, x = solve_reference_batch(get_model("affine"), p, grid, dw)
-    for i in range(4):
-        single = solve_reference(get_model("affine"), p, grid, dw[i])
-        assert np.array_equal(x[i], single.x)
-        assert np.array_equal(phi[i], single.phi)
+    for model in builtin_catalog():
+        batch = solve_reference_batch(model, p, grid, dw)
+        for i in range(4):
+            single = solve_reference(model, p, grid, dw[i])
+            for whole, one in zip(batch, (single.phi, single.big_m, single.big_i, single.x)):
+                assert np.array_equal(whole[i].view(np.int64), one.view(np.int64)), (model.id, i)
 
 
 def test_fused_step_matches_implicit_step_oracle_bitwise():
@@ -189,3 +192,64 @@ def test_fused_step_matches_implicit_step_oracle_bitwise():
                     assert a.shape == (paths, grid.steps + 1)
                     assert np.array_equal(a.view(np.int64), b.T.view(np.int64)), (model.id, paths, p)
     assert seen_beyond_mao >= 5
+
+
+def vector_steps(model, params, grid, dw):
+    """reference_steps on time-major (L, B) increments, collected (L+1, B)."""
+    rows = [tuple(r.copy() for r in step) for step in reference_steps(model, params, grid, dw)]
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+def same_bits(a, b):
+    """Bitwise equal, except that any NaN matches any NaN in the same place."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+
+
+def test_single_path_loop_matches_vector_step_and_oracle_bitwise():
+    # one path goes through the Python-float loop; the vector step at B=1
+    # and the implicit_step oracle must give the same bits, signed zeros
+    # included (zero increments leave ties at +-0.0)
+    rng = np.random.default_rng(59)
+    grid = make_grid(256, 1.0)
+    time_dependent = CoefficientModel(
+        id="time-dependent",
+        drift=lambda t, x: t * x,
+        diffusion=lambda t, x: 1.0 + t * np.sin(x),
+        regularity=Lipschitz(2.0),
+    )
+    seen_beyond_mao = 0
+    for model in builtin_catalog() + [time_dependent]:
+        for x0 in (0.0, float(rng.normal())):
+            for _ in range(2):
+                p = random_valid_params(rng, x0=x0)
+                seen_beyond_mao += beyond_mao(p)
+                random_dw = rng.normal(0.0, np.sqrt(grid.step_size), size=grid.steps)
+                for dw in (random_dw, np.zeros(grid.steps)):
+                    got = solve_reference_batch(model, p, grid, dw[None, :])
+                    vector = vector_steps(model, p, grid, dw[:, None])
+                    oracle = step_reference(model, p, grid.step_size, dw[:, None])
+                    for a, b, c in zip(got, vector, oracle):
+                        assert a.shape == (1, grid.steps + 1)
+                        assert np.array_equal(a.view(np.int64), b.T.view(np.int64)), (model.id, p)
+                        assert np.array_equal(a.view(np.int64), c.T.view(np.int64)), (model.id, p)
+    assert seen_beyond_mao >= 5
+
+
+def test_single_path_loop_goes_non_finite_like_vector_step():
+    # an infinite increment makes the path infinite and then NaN; the loop
+    # must put inf and NaN where the vector step and the oracle do
+    grid = make_grid(64, 1.0)
+    for model_id in ("affine", "bounded-trig"):
+        model = get_model(model_id)
+        p = validate(0.6, -1.0, 0.5, 1.0)
+        dw = generate_increments(29, 0, grid)
+        dw[20] = np.inf
+        with np.errstate(all="ignore"):
+            got = solve_reference_batch(model, p, grid, dw[None, :])
+            vector = vector_steps(model, p, grid, dw[:, None])
+            oracle = step_reference(model, p, grid.step_size, dw[:, None])
+        x = got[3][0]
+        assert np.all(np.isfinite(x[:21])) and np.isinf(x[21]) and np.isnan(x[-1]), model_id
+        for a, b, c in zip(got, vector, oracle):
+            assert same_bits(a, b.T) and same_bits(a, c.T), model_id
