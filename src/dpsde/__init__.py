@@ -26,6 +26,7 @@ from .errors import (
     DPSDEError,
     EmptyInput,
     InvalidGrid,
+    InvalidWorkerCount,
     NegativeInput,
     NegativeStart,
     NonFinitePath,

@@ -23,10 +23,11 @@ from .scheme import simulate_new, simulate_new_batch, simulate_old_batch
 __all__ = ["run_all_checks"]
 
 
-def _random_valid_params(rng, x0=0.0, horizon=1.0):
+def random_valid_params(rng, x0=0.0, horizon=1.0):
+    """Rejection-sample an (alpha, beta) pair accepted by the gate."""
     while True:
-        a = rng.uniform(-4.0, 0.99)
-        b = rng.uniform(-4.0, 0.99)
+        a = float(rng.uniform(-4.0, 0.99))
+        b = float(rng.uniform(-4.0, 0.99))
         try:
             return params_mod.validate(a, b, x0, horizon)
         except DPSDEError:
@@ -66,7 +67,7 @@ def _check_scheme_identity() -> tuple[bool, str]:
     grid = make_grid(256, 1.0)
     worst = 0.0
     for _ in range(20):
-        p = _random_valid_params(rng)
+        p = random_valid_params(rng)
         model = get_model(rng.choice(["affine", "gbm", "bounded-trig", "zero-drift-unit-diffusion"]))
         n = int(rng.choice([8, 16, 32]))
         dw = rng.normal(0.0, np.sqrt(grid.step_size), size=grid.steps)
@@ -81,11 +82,16 @@ def _check_scheme_identity() -> tuple[bool, str]:
     return worst <= 1e-12, f"worst relative identity residual {worst:.2e}"
 
 
-def _brute_force_new(model, p, grid, lag, dw):
-    """From-scratch re-maximization of the running-extrema recursion."""
+def brute_new_scheme(model, params, grid, m, dw):
+    """Scalar re-maximization evaluator of the running-extrema scheme.
+
+    At every step all maxima are recomputed from scratch over the full
+    prefix (O(L^2)); arithmetic mirrors the definitions term by term.
+    Returns the arrays (phi, big_m, big_i, x).
+    """
     L = len(dw)
-    m = lag.lag_steps
     h = grid.step_size
+    alpha, beta = params.alpha, params.beta
     phi = [0.0]
     big_m = [0.0]
     big_i = [0.0]
@@ -95,12 +101,12 @@ def _brute_force_new(model, p, grid, lag, dw):
         xlag = x[j] if j >= 0 else 0.0
         t_prev = (k - 1) * h
         phi.append(phi[k - 1] + (model.drift(t_prev, xlag) * h + model.diffusion(t_prev, xlag) * dw[k - 1]))
-        mk = max(phi[j2] + p.beta * big_i[max(j2 - m, 0)] for j2 in range(k + 1))
-        big_m.append(max(mk, 0.0) / (1.0 - p.alpha))
-        ik = max(-phi[j2] - p.alpha * big_m[max(j2 - m, 0)] for j2 in range(k + 1))
-        big_i.append(max(ik, 0.0) / (p.beta - 1.0))
-        x.append(phi[k] + p.alpha * big_m[k] + p.beta * big_i[k])
-    return np.array(x)
+        g = max(phi[i] + beta * big_i[max(i - m, 0)] for i in range(k + 1))
+        big_m.append(max(g, 0.0) / (1.0 - alpha))
+        q = max(-phi[i] - alpha * big_m[max(i - m, 0)] for i in range(k + 1))
+        big_i.append(max(q, 0.0) / (beta - 1.0))
+        x.append(phi[k] + alpha * big_m[k] + beta * big_i[k])
+    return np.array(phi), np.array(big_m), np.array(big_i), np.array(x)
 
 
 def _check_brute_force() -> tuple[bool, str]:
@@ -108,12 +114,12 @@ def _check_brute_force() -> tuple[bool, str]:
     for _ in range(100):
         L = int(rng.integers(2, 13))
         grid = make_grid(L, 1.0)
-        lag = lag_map(grid, L)
-        p = _random_valid_params(rng)
+        m = lag_map(grid, L).lag_steps
+        p = random_valid_params(rng)
         model = get_model("affine")
         dw = rng.normal(0.0, np.sqrt(grid.step_size), size=L)
         fast = simulate_new(model, p, grid, L, dw)
-        slow = _brute_force_new(model, p, grid, lag, dw)
+        slow = brute_new_scheme(model, p, grid, m, dw)[3]
         if not np.array_equal(fast.x, slow):
             return False, f"mismatch at L={L}"
     return True, "100 instances, m=1, exact match"

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import checks as checks_mod
 from . import params as params_mod
 from .driver import generate_increments, lag_map, make_grid
-from .errors import DPSDEError, NonZeroStart
+from .errors import DPSDEError, InvalidWorkerCount, NonZeroStart, UnknownFormat
 from .experiments import StudySpec, compare_schemes, run_convergence
 from .models import get_model
 from .output import write_path_csv, write_path_json, write_report_csv, write_report_json
@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="one path of a scheme or the reference")
     common(p_sim, "model", "alpha", "beta", "x0", "horizon", "grid_steps", "n", "seed", "scheme", "path_index")
     p_sim.add_argument("--out", help="output path (default <outdir>/simulate.<format>)")
-    p_sim.add_argument("--format", choices=["csv", "json"], help="path output format (default csv)")
+    p_sim.add_argument("--format", help="path output format, csv or json (default csv)")
 
     p_con = sub.add_parser("converge", help="Monte Carlo strong-error study")
     common(p_con, "model", "alpha", "beta", "x0", "horizon", "grid_steps", "n_list", "p_list", "paths", "seed", "scheme", "workers")
@@ -170,6 +170,8 @@ def _cmd_validate(args, config) -> int:
     return 0
 
 
+_PATH_WRITERS = {"csv": write_path_csv, "json": write_path_json}
+
 _SIMULATORS = {
     "new": simulate_new,
     "old": simulate_old,
@@ -191,21 +193,20 @@ def _cmd_simulate(args, config) -> int:
     seed = int(_setting(args, config, "seed", int))
     path_index = int(_setting(args, config, "path_index", int))
     scheme = str(_setting(args, config, "scheme"))
+    fmt = str(_setting(args, config, "format") or "csv")
     # every check before the increments are drawn
     if scheme not in _SIMULATORS:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if fmt not in _PATH_WRITERS:
+        raise UnknownFormat(f"format must be one of {', '.join(_PATH_WRITERS)}, got {fmt!r}")
     if scheme == "new" and params.x0 != 0.0:
         raise NonZeroStart(f"--scheme new requires x0 = 0, got x0={params.x0!r}; use --scheme general")
     if scheme != "reference":
         lag_map(grid, n)
     dw = generate_increments(seed, path_index, grid)
     path = _SIMULATORS[scheme](model, params, grid, n, dw)
-    fmt = str(_setting(args, config, "format") or "csv")
     out = Path(args.out) if getattr(args, "out", None) else _out_dir() / f"simulate.{fmt}"
-    if fmt == "json":
-        write_path_json(path, out)
-    else:
-        write_path_csv(path, out)
+    _PATH_WRITERS[fmt](path, out)
     print(f"wrote {out}")
     return 0
 
@@ -230,7 +231,10 @@ def _study_spec(args, config) -> tuple[StudySpec, int]:
         master_seed=int(_setting(args, config, "seed", int)),
         scheme=scheme,
     )
-    return spec, int(_setting(args, config, "workers", int))
+    workers = int(_setting(args, config, "workers", int))
+    if workers < 1:
+        raise InvalidWorkerCount(f"workers must be >= 1, got {workers}")
+    return spec, workers
 
 
 def _cmd_converge(args, config) -> int:
@@ -242,6 +246,8 @@ def _cmd_converge(args, config) -> int:
     write_report_json(report, out_json)
     for fit in report.fits:
         print(f"p={fit.p!r} slope={fit.slope!r}")
+    for p, reason in report.skipped_fits:
+        print(f"p={p!r} slope=skipped reason={reason}")
     print(f"wrote {out_csv} and {out_json}")
     return 0
 
@@ -256,6 +262,8 @@ def _cmd_compare(args, config) -> int:
     for label, rep in (("new", comparison.new), ("old", comparison.old)):
         for fit in rep.fits:
             print(f"scheme={label} p={fit.p!r} slope={fit.slope!r}")
+        for p, reason in rep.skipped_fits:
+            print(f"scheme={label} p={p!r} slope=skipped reason={reason}")
     print(f"wrote {out_csv} and {out_json}")
     return 0
 

@@ -63,3 +63,11 @@ class NonZeroStart(DPSDEError):
 
 class NonFinitePath(DPSDEError):
     """A simulated path produced a non-finite per-path statistic."""
+
+
+class UnknownFormat(DPSDEError, ValueError):
+    """A path output format other than csv or json."""
+
+
+class InvalidWorkerCount(DPSDEError, ValueError):
+    """A worker count below 1."""

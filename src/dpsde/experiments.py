@@ -44,7 +44,7 @@ from typing import Literal
 import numpy as np
 
 from .driver import SimGrid, generate_increments, lag_map, make_grid
-from .errors import DegenerateFit, DelayTooFine, NonFinitePath, NonZeroStart
+from .errors import DegenerateFit, DelayTooFine, InvalidWorkerCount, NonFinitePath, NonZeroStart
 from .models import get_model
 from .params import PerturbationParams, validate
 from .reference import reference_steps
@@ -150,7 +150,11 @@ class RateFit:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-(n, p) strong-error estimates plus fitted log-log slopes."""
+    """Per-(n, p) strong-error estimates plus fitted log-log slopes.
+
+    ``skipped_fits`` holds (p, reason) for each p whose rate fit raised
+    DegenerateFit; the report writers do not write it.
+    """
 
     scheme: str
     model_id: str
@@ -163,6 +167,7 @@ class ConvergenceReport:
     master_seed: int
     errors: tuple[ErrorEstimate, ...]
     fits: tuple[RateFit, ...] = field(default=())
+    skipped_fits: tuple[tuple[float, str], ...] = field(default=())
 
 
 @dataclass(frozen=True)
@@ -191,8 +196,11 @@ def _per_path_sup(
     With against_reference=True the statistic is sup_k |X^n_k - X_k| with X
     from the limit-equation solver on the same increments; otherwise it is
     sup_k |X^n_k|.  Output arrays are ordered by path index.  Raises
-    NonFinitePath if a statistic is not finite.
+    InvalidWorkerCount for workers < 1, before any work, and NonFinitePath
+    if a statistic is not finite.
     """
+    if workers < 1:
+        raise InvalidWorkerCount(f"workers must be >= 1, got {workers!r}")
     model = get_model(spec.model_id)
     M, L = spec.paths, spec.grid.steps
     out = {(kind, n): np.empty(M) for kind in kinds for n in spec.n_list}
@@ -232,7 +240,7 @@ def _per_path_sup(
                         f"non-finite per-path {what} for scheme {kind!r}, n={n}: first at path index {s + bad[0]}"
                     )
 
-    if workers <= 1:
+    if workers == 1:
         for span in bounds:
             work(span)
     else:
@@ -288,6 +296,7 @@ def rate_fit(errors) -> tuple[float, float]:
 def _report_for(spec: StudySpec, kind: str, gaps: dict) -> ConvergenceReport:
     errors = []
     fits = []
+    skipped = []
     for p in spec.p_list:
         per_n = []
         for n in spec.n_list:
@@ -296,7 +305,8 @@ def _report_for(spec: StudySpec, kind: str, gaps: dict) -> ConvergenceReport:
             per_n.append((n, est))
         try:
             slope, intercept = rate_fit(per_n)
-        except DegenerateFit:
+        except DegenerateFit as exc:
+            skipped.append((p, str(exc)))
             continue
         fits.append(RateFit(p=p, slope=slope, intercept=intercept))
     return ConvergenceReport(
@@ -311,6 +321,7 @@ def _report_for(spec: StudySpec, kind: str, gaps: dict) -> ConvergenceReport:
         master_seed=spec.master_seed,
         errors=tuple(errors),
         fits=tuple(fits),
+        skipped_fits=tuple(skipped),
     )
 
 

@@ -1,8 +1,21 @@
 """CSV and JSON writers for paths and study reports.
 
-Numeric CSV fields use repr (shortest round-trip) so emitted files are
+Numeric fields use repr (shortest round-trip) so emitted files are
 byte-stable for identical runs; the only timestamp lives in the JSON
 metadata block.
+
+Path columns.  Both path writers format their float columns through one
+formatter, ``_column_reprs``.  On a sampled path the running extrema M and
+I are step functions (a few dozen distinct values in a few thousand
+points), so the formatter finds the runs of bitwise-equal neighbours
+through an int64 view of the column, calls float.__repr__ once per run
+head, and repeats each head over its run.  Runs are keyed by bits, not by
+value: -0.0 == 0.0, but their reprs differ, and NaN != NaN although its
+repr does not change.  The CSV joins each row's fields with commas.  The
+JSON writes the layout of ``json.dumps(body, indent=2)`` directly, one
+number per line; the non-finite values are spelled as json spells them,
+nan as NaN, inf as Infinity and -inf as -Infinity.  A path always has at
+least two grid points, so no array is written empty.
 """
 
 from __future__ import annotations
@@ -22,35 +35,54 @@ __all__ = [
     "write_report_json",
 ]
 
-_PATH_HEADER = "k,t,phi,M,I,X"
+_PATH_FIELDS = ("k", "t", "phi", "M", "I", "X")
 _REPORT_HEADER = "scheme,model,alpha,beta,n,p,error,std_err"
+# how json.dumps spells the floats whose repr is not JSON
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _column_reprs(values, spelling: dict[str, str] | None = None) -> list[str]:
+    """[repr(v) for v in values] for a float column, one repr per run of equal bits.
+
+    ``spelling`` maps a repr to the text written in its place.
+    """
+    col = np.asarray(values, dtype=float)
+    bits = col.view(np.int64)
+    head = np.empty(col.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=head[1:])
+    texts = list(map(repr, col[head].tolist()))
+    if spelling:
+        texts = list(map(spelling.get, texts, texts))
+    run = np.cumsum(head) - 1
+    return np.array(texts, dtype=object)[run].tolist()
+
+
+def _path_columns(path_obj, spelling: dict[str, str] | None = None) -> list[list[str]]:
+    """The k, t, phi, M, I, X columns of a path as text."""
+    floats = (path_obj.grid.times(), path_obj.phi, path_obj.big_m, path_obj.big_i, path_obj.x)
+    k = list(map(str, range(len(path_obj.x))))
+    return [k] + [_column_reprs(c, spelling) for c in floats]
+
+
 def write_path_csv(path_obj, dest: str | Path) -> None:
     """Write one simulated path (scheme or reference) as k,t,phi,M,I,X rows."""
-    columns = (path_obj.grid.times(), path_obj.phi, path_obj.big_m, path_obj.big_i, path_obj.x)
-    # whole columns as Python floats, whose repr is what _fmt writes
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    lines = [_PATH_HEADER]
-    lines += [f"{k},{t!r},{phi!r},{m!r},{i!r},{x!r}" for k, (t, phi, m, i, x) in enumerate(rows)]
-    Path(dest).write_text("\n".join(lines) + "\n")
+    rows = map(",".join, zip(*_path_columns(path_obj)))
+    Path(dest).write_text("\n".join([",".join(_PATH_FIELDS), *rows]) + "\n")
 
 
 def write_path_json(path_obj, dest: str | Path) -> None:
     """Write one simulated path as parallel JSON arrays (same fields as CSV)."""
-    body = {
-        "k": list(range(len(path_obj.x))),
-        "t": path_obj.grid.times().tolist(),
-        "phi": path_obj.phi.tolist(),
-        "M": path_obj.big_m.tolist(),
-        "I": path_obj.big_i.tolist(),
-        "X": path_obj.x.tolist(),
-    }
-    Path(dest).write_text(json.dumps(body, indent=2) + "\n")
+    columns = _path_columns(path_obj, _JSON_NON_FINITE)
+    arrays = [
+        f'"{name}": [\n    ' + ",\n    ".join(col) + "\n  ]"
+        for name, col in zip(_PATH_FIELDS, columns)
+    ]
+    Path(dest).write_text("{\n  " + ",\n  ".join(arrays) + "\n}\n")
 
 
 def _report_rows(report: ConvergenceReport) -> list[str]:

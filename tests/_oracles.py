@@ -8,21 +8,13 @@ exist.  Keep these slow and obvious.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from dpsde import validate
-from dpsde.errors import DPSDEError
-
-
-def random_valid_params(rng, x0=0.0, horizon=1.0):
-    """Rejection-sample an (alpha, beta) pair accepted by the gate."""
-    while True:
-        a = float(rng.uniform(-4.0, 0.99))
-        b = float(rng.uniform(-4.0, 0.99))
-        try:
-            return validate(a, b, x0, horizon)
-        except DPSDEError:
-            continue
+# the brute-force scheme and the parameter sampler live in dpsde.checks,
+# which `dpsde check` runs; the tests use the same copies
+from dpsde.checks import brute_new_scheme, random_valid_params  # noqa: F401
 
 
 def clamped_lag(lag, k: int) -> int:
@@ -45,32 +37,6 @@ def brute_skorohod(y):
 def brute_running_max(values):
     values = np.asarray(values, dtype=float)
     return np.array([np.max(values[: j + 1]) for j in range(len(values))])
-
-
-def brute_new_scheme(model, params, grid, m, dw):
-    """Scalar re-maximization evaluator of the running-extrema scheme.
-
-    At every step all maxima are recomputed from scratch over the full
-    prefix (O(L^2)); arithmetic mirrors the definitions term by term.
-    """
-    L = len(dw)
-    h = grid.step_size
-    alpha, beta = params.alpha, params.beta
-    phi = [0.0]
-    big_m = [0.0]
-    big_i = [0.0]
-    x = [0.0]
-    for k in range(1, L + 1):
-        j = k - 1 - m
-        xlag = x[j] if j >= 0 else 0.0
-        t_prev = (k - 1) * h
-        phi.append(phi[k - 1] + (model.drift(t_prev, xlag) * h + model.diffusion(t_prev, xlag) * dw[k - 1]))
-        g = max(phi[i] + beta * big_i[max(i - m, 0)] for i in range(k + 1))
-        big_m.append(max(g, 0.0) / (1.0 - alpha))
-        q = max(-phi[i] - alpha * big_m[max(i - m, 0)] for i in range(k + 1))
-        big_i.append(max(q, 0.0) / (beta - 1.0))
-        x.append(phi[k] + alpha * big_m[k] + beta * big_i[k])
-    return np.array(phi), np.array(big_m), np.array(big_i), np.array(x)
 
 
 def brute_old_scheme(model, params, grid, m, dw):
@@ -271,3 +237,28 @@ def exact_gbm(x0, mu, sigma_bar, grid, increments):
     w = np.concatenate(([0.0], np.cumsum(increments)))
     t = grid.times()
     return x0 * np.exp((mu - 0.5 * sigma_bar**2) * t + sigma_bar * w)
+
+
+# Byte oracles of the path writers in dpsde.output, which format each run of
+# equal values once: here every value gets its own repr, and json.dumps lays
+# out the JSON.  Each returns the text the writer puts in the file.
+
+
+def path_csv_text(path_obj) -> str:
+    columns = (path_obj.grid.times(), path_obj.phi, path_obj.big_m, path_obj.big_i, path_obj.x)
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    lines = ["k,t,phi,M,I,X"]
+    lines += [f"{k},{t!r},{phi!r},{m!r},{i!r},{x!r}" for k, (t, phi, m, i, x) in enumerate(rows)]
+    return "\n".join(lines) + "\n"
+
+
+def path_json_text(path_obj) -> str:
+    body = {
+        "k": list(range(len(path_obj.x))),
+        "t": path_obj.grid.times().tolist(),
+        "phi": path_obj.phi.tolist(),
+        "M": path_obj.big_m.tolist(),
+        "I": path_obj.big_i.tolist(),
+        "X": path_obj.x.tolist(),
+    }
+    return json.dumps(body, indent=2) + "\n"

@@ -276,3 +276,74 @@ def test_check_subcommand_passes(capsys):
     lines = [l for l in out.splitlines() if l]
     assert all(l.startswith("PASS") for l in lines)
     assert len(lines) >= 7
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_simulate_unknown_format_exits_2_before_work(capsys, tmp_path, monkeypatch, source):
+    import dpsde.cli
+
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an invalid format")
+
+    monkeypatch.setattr(dpsde.cli, "generate_increments", no_increments)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("format = xml\n" if source == "config" else "grid_steps = 256\n")
+    flag = ["--format", "xml"] if source == "flag" else []
+    dest = tmp_path / "o.txt"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), *flag, "--out", str(dest))
+    assert code == 2
+    assert err.startswith("dpsde: error: UnknownFormat:") and "'xml'" in err
+    assert not dest.exists()
+
+
+def test_converge_rejects_negative_workers_before_work(capsys, tmp_path, monkeypatch):
+    import dpsde.experiments
+
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an invalid worker count")
+
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    code, _, err = run_cli(
+        capsys,
+        "converge", "--workers", "-2", "--grid-steps", "256", "--n-list", "8,16,32", "--paths", "5",
+        "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"),
+    )
+    assert code == 2
+    assert "InvalidWorkerCount" in err and "-2" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_compare_config_rejects_zero_workers(capsys, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("workers = 0\ngrid_steps = 256\nn_list = 8,16,32\npaths = 5\n")
+    code, _, err = run_cli(
+        capsys,
+        "compare", "--config", str(cfg),
+        "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"),
+    )
+    assert code == 2
+    assert "InvalidWorkerCount" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "compare"])
+def test_skipped_rate_fits_are_printed(capsys, tmp_path, command):
+    # gbm started at 0 stays at 0, so every estimate is 0 and no slope can be fitted
+    out_json = tmp_path / "x.json"
+    code, out, _ = run_cli(
+        capsys,
+        command, "--model", "gbm", "--x0", "0", "--grid-steps", "256", "--n-list", "8,16,32",
+        "--p-list", "2,4", "--paths", "5", "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(out_json),
+    )
+    assert code == 0
+    skipped = [line for line in out.splitlines() if "slope=skipped" in line]
+    prefixes = [""] if command == "converge" else ["scheme=new ", "scheme=old "]
+    assert skipped == [
+        f"{prefix}p={p} slope=skipped reason=rate fit needs positive finite estimates"
+        for prefix in prefixes
+        for p in ("2.0", "4.0")
+    ]
+    body = json.loads(out_json.read_text())
+    reports = [body] if command == "converge" else [body["new"], body["old"]]
+    for rep in reports:
+        assert rep["slopes"] == [] and "skipped_fits" not in rep

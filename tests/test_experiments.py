@@ -7,7 +7,14 @@ import dpsde.experiments
 from _oracles import exact_gbm, random_valid_params
 from dpsde import beyond_mao, validate
 from dpsde.driver import generate_increments, make_grid
-from dpsde.errors import DegenerateFit, DelayNotAligned, DelayTooFine, NonFinitePath, NonZeroStart
+from dpsde.errors import (
+    DegenerateFit,
+    DelayNotAligned,
+    DelayTooFine,
+    InvalidWorkerCount,
+    NonFinitePath,
+    NonZeroStart,
+)
 from dpsde.experiments import (
     StudySpec,
     compare_schemes,
@@ -350,3 +357,25 @@ def test_one_delay_runs_only_that_delay(monkeypatch):
         est, _ = strong_error(spec, n, 2.0)
         assert calls == [("ref", None), ("scheme", n)] * 2
         assert np.float64(est).view(np.int64) == np.mean(full[(spec.scheme, n)] ** 2.0).view(np.int64)
+
+
+@pytest.mark.parametrize("study", [run_convergence, compare_schemes, moment_scan])
+@pytest.mark.parametrize("workers", [0, -1])
+def test_study_rejects_worker_count_below_one_before_work(monkeypatch, study, workers):
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an invalid worker count")
+
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    with pytest.raises(InvalidWorkerCount):
+        study(small_spec(), workers=workers)
+
+
+def test_report_keeps_skipped_fits_with_reason():
+    # gbm started at 0 stays at 0: every estimate is 0, so no p can be fitted
+    report = run_convergence(small_spec(model_id="gbm", p_list=(2.0, 4.0), paths=5))
+    assert report.fits == ()
+    assert report.skipped_fits == (
+        (2.0, "rate fit needs positive finite estimates"),
+        (4.0, "rate fit needs positive finite estimates"),
+    )
+    assert run_convergence(small_spec()).skipped_fits == ()
