@@ -9,7 +9,6 @@ deterministic Monte Carlo harness for strong-convergence studies.
 """
 
 from .driver import (
-    LagMap,
     SimGrid,
     brownian_values,
     coarsen_values,

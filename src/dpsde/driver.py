@@ -26,7 +26,6 @@ from .errors import DelayNotAligned, DelayTooFine, InvalidGrid
 
 __all__ = [
     "SimGrid",
-    "LagMap",
     "make_grid",
     "lag_map",
     "generate_increments",
@@ -53,13 +52,6 @@ class SimGrid:
         return np.arange(self.steps + 1) * self.step_size
 
 
-@dataclass(frozen=True)
-class LagMap:
-    """Delay of a whole number of grid steps (m >= 1)."""
-
-    lag_steps: int
-
-
 def make_grid(steps: int, horizon: float) -> SimGrid:
     """Build a uniform grid; raises InvalidGrid on steps < 1 or horizon <= 0."""
     if steps < 1:
@@ -69,8 +61,8 @@ def make_grid(steps: int, horizon: float) -> SimGrid:
     return SimGrid(steps=int(steps), horizon=float(horizon))
 
 
-def lag_map(grid: SimGrid, n: int) -> LagMap:
-    """Map the delay 1/n onto the grid as a whole number of steps.
+def lag_map(grid: SimGrid, n: int) -> int:
+    """The delay 1/n as a whole number m >= 1 of grid steps.
 
     Requires n >= 1, delay at most the horizon, and L/(n*T) to be a positive
     integer; raises DelayTooFine when the delay rounds below one step and
@@ -86,7 +78,7 @@ def lag_map(grid: SimGrid, n: int) -> LagMap:
         raise DelayNotAligned(f"L/(n*T) = {exact!r} is not an integer (L={grid.steps}, n={n}, T={grid.horizon!r})")
     if m > grid.steps:
         raise DelayNotAligned(f"delay 1/{n} exceeds the horizon {grid.horizon!r}")
-    return LagMap(lag_steps=m)
+    return m
 
 
 def _philox_key(master_seed: int, path_index: int) -> int:

@@ -99,7 +99,7 @@ class StudySpec:
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
         for n in self.n_list:
-            m = lag_map(self.grid, n).lag_steps
+            m = lag_map(self.grid, n)
             if m < _MIN_STEPS_PER_DELAY:
                 raise DelayTooFine(
                     f"resolution rule needs >= {_MIN_STEPS_PER_DELAY} grid steps per delay, "
@@ -205,7 +205,7 @@ def _per_path_sup(
     M, L = spec.paths, spec.grid.steps
     out = {(kind, n): np.empty(M) for kind in kinds for n in spec.n_list}
     bounds = [(s, min(s + _CHUNK, M)) for s in range(0, M, _CHUNK)]
-    widest = max(lag_map(spec.grid, n).lag_steps for n in spec.n_list)
+    widest = max(lag_map(spec.grid, n) for n in spec.n_list)
 
     def work(span: tuple[int, int]) -> None:
         s, e = span

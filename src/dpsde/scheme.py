@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import LagMap, SimGrid, lag_map
+from .driver import SimGrid, lag_map
 from .errors import DPSDEError, NonZeroStart
 from .models import CoefficientModel
 from .params import PerturbationParams
@@ -90,8 +90,6 @@ class SchemePath:
     big_m: np.ndarray
     big_i: np.ndarray
     x: np.ndarray
-    n: int
-    lag: LagMap
     grid: SimGrid
 
 
@@ -123,7 +121,7 @@ def scheme_blocks(kind, model, params, grid, n, dw):
         raise NonZeroStart("the running-extrema scheme requires x0 = 0; use the general scheme")
     if kind == "general" and abs(1.0 - alpha - beta) < 1e-15:
         raise DPSDEError("alpha + beta = 1 leaves the pre-time level x0/(1-alpha-beta) undefined")
-    m = lag_map(grid, n).lag_steps
+    m = lag_map(grid, n)
     L, B = dw.shape
     # (phi, big_m, big_i, x) of the current and the previous block; row 0
     # of a buffer is the last row of the block before it
@@ -240,8 +238,6 @@ def _single(batch_fn, model, params, grid, n, increments) -> SchemePath:
         big_m=big_m[0],
         big_i=big_i[0],
         x=x[0],
-        n=n,
-        lag=lag_map(grid, n),
         grid=grid,
     )
 

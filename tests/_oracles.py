@@ -12,26 +12,19 @@ import json
 
 import numpy as np
 
-# the brute-force scheme and the parameter sampler live in dpsde.checks,
-# which `dpsde check` runs; the tests use the same copies
-from dpsde.checks import brute_new_scheme, random_valid_params  # noqa: F401
+# the brute-force scheme, the Skorohod oracle and the parameter sampler live
+# in dpsde.checks, which `dpsde check` runs; the tests use the same copies
+from dpsde.checks import brute_new_scheme, brute_skorohod, random_valid_params  # noqa: F401
 
 
-def clamped_lag(lag, k: int) -> int:
-    """Index of the clamped lag max(t_k - delay, 0) of a LagMap."""
-    return max(k - lag.lag_steps, 0)
+def clamped_lag(m: int, k: int) -> int:
+    """Index of the clamped lag max(t_k - delay, 0) for a lag of m steps."""
+    return max(k - m, 0)
 
 
-def raw_lag(lag, k: int) -> int:
+def raw_lag(m: int, k: int) -> int:
     """Index of the raw lag t_k - delay; negative means pre-time history."""
-    return k - lag.lag_steps
-
-
-def brute_skorohod(y):
-    """O(L^2) prefix-max reflection: k_j = max_{i<=j} (-y_i)^+."""
-    y = np.asarray(y, dtype=float)
-    k = np.array([np.max(np.maximum(-y[: j + 1], 0.0)) for j in range(len(y))])
-    return y + k, k
+    return k - m
 
 
 def brute_running_max(values):
@@ -62,7 +55,7 @@ def phi_step(
     model,
     params,
     grid,
-    lag,
+    m: int,
     x_history,
     increments,
     k: int,
@@ -79,7 +72,7 @@ def phi_step(
         raise ValueError("phi_step needs k >= 1")
     if history is None:
         history = params.x0
-    j = k - 1 - lag.lag_steps
+    j = k - 1 - m
     xlag = x_history[j] if j >= 0 else history
     t_prev = (k - 1) * grid.step_size
     dw = increments[k - 1]

@@ -347,3 +347,121 @@ def test_skipped_rate_fits_are_printed(capsys, tmp_path, command):
     reports = [body] if command == "converge" else [body["new"], body["old"]]
     for rep in reports:
         assert rep["slopes"] == [] and "skipped_fits" not in rep
+
+
+@pytest.mark.parametrize("n", ["0", "7"])
+def test_simulate_reference_rejects_bad_delay_before_work(capsys, tmp_path, monkeypatch, n):
+    import dpsde.cli
+
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an invalid delay")
+
+    monkeypatch.setattr(dpsde.cli, "generate_increments", no_increments)
+    dest = tmp_path / "ref.csv"
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--scheme", "reference", "--n", n, "--grid-steps", "256", "--out", str(dest),
+    )
+    assert code == 2
+    assert err.startswith("dpsde: error: DelayNotAligned:")
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("command,line", [
+    ("converge", "path_index = 3"),
+    ("converge", "format = xml"),
+    ("converge", "n = 0"),
+    ("compare", "scheme = old"),
+    ("validate", "paths = 5"),
+])
+def test_config_keys_are_checked_per_subcommand(capsys, tmp_path, command, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"grid_steps = 256\n{line}\n" if command != "validate" else f"{line}\n")
+    outs = [] if command == "validate" else ["--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json")]
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), *outs)
+    assert code == 2
+    assert f"unknown config key {line.split()[0]!r}" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unknown_scheme_exits_2_before_work(capsys, tmp_path, monkeypatch, command, source):
+    import dpsde.cli
+    import dpsde.experiments
+
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an invalid scheme")
+
+    monkeypatch.setattr(dpsde.cli, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    scheme = "bogus" if command == "simulate" else "reference"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"grid_steps = 256\nscheme = {scheme}\n" if source == "config" else "grid_steps = 256\n")
+    flag = ["--scheme", scheme] if source == "flag" else []
+    outs = ["--out", str(tmp_path / "o.csv")] if command == "simulate" else [
+        "--n-list", "8,16,32", "--paths", "5", "--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), *flag, *outs)
+    assert code == 2
+    assert err.startswith("dpsde: error: ValueError: scheme must be one of") and repr(scheme) in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_value_goes_through_the_flag_parser_before_work(capsys, tmp_path, monkeypatch):
+    import dpsde.experiments
+
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an unparsable config value")
+
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("grid_steps = 256\nalpha = abc\n")
+    code, _, err = run_cli(
+        capsys,
+        "converge", "--config", str(cfg), "--n-list", "8,16,32", "--paths", "5",
+        "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"),
+    )
+    assert code == 2
+    assert err.startswith("dpsde: error: ValueError: config key 'alpha'") and "'abc'" in err
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+_SAME_SETTINGS = {
+    "simulate": {"model": "bounded-trig", "alpha": "-2.0", "beta": "0.5", "x0": "0.25", "horizon": "0.5",
+                 "grid-steps": "256", "n": "16", "seed": "7", "scheme": "general", "path-index": "3"},
+    "converge": {"model": "bounded-trig", "alpha": "-2.0", "beta": "0.5", "horizon": "0.5",
+                 "grid-steps": "256", "n-list": "8,16,32", "p-list": "2,3", "paths": "20", "seed": "7",
+                 "scheme": "old", "workers": "2"},
+}
+
+
+@pytest.mark.parametrize("command,fmt", [("simulate", "csv"), ("simulate", "json"), ("converge", None)])
+def test_flags_and_config_file_give_identical_outputs(capsys, tmp_path, command, fmt):
+    settings = dict(_SAME_SETTINGS[command], **({"format": fmt} if fmt else {}))
+    cfg = tmp_path / "c.cfg"
+    # spaces after commas in lists, as people write them
+    cfg.write_text("".join(f"{k} = {v.replace(',', ', ')}\n" for k, v in settings.items()))
+    flags = [arg for k, v in settings.items() for arg in ("--" + k, v)]
+    bodies = []
+    for name, args in (("flags", flags), ("config", ["--config", str(cfg)])):
+        if command == "simulate":
+            outs = ["--out", str(tmp_path / f"{name}.{fmt}")]
+        else:
+            outs = ["--out-csv", str(tmp_path / f"{name}.csv"), "--out-json", str(tmp_path / f"{name}.json")]
+        code, _, _ = run_cli(capsys, command, *args, *outs)
+        assert code == 0
+        if command == "simulate":
+            bodies.append((tmp_path / f"{name}.{fmt}").read_bytes())
+        else:
+            body = json.loads((tmp_path / f"{name}.json").read_text())
+            body["metadata"].pop("generated_at")
+            bodies.append(((tmp_path / f"{name}.csv").read_bytes(), body))
+    assert bodies[0] == bodies[1]
+    if command == "simulate":  # the settings took effect: 257 grid points, not the default 4097
+        rows = bodies[0].decode().splitlines()[1:] if fmt == "csv" else json.loads(bodies[0])["k"]
+        assert len(rows) == 257
+    else:
+        assert bodies[0][1]["metadata"]["grid_steps"] == 256
+        assert sorted({e["n"] for e in bodies[0][1]["errors"]}) == [8, 16, 32]

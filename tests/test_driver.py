@@ -31,11 +31,11 @@ def test_make_grid_rejects_bad_inputs():
 
 def test_lag_map_examples():
     grid = make_grid(4096, 1.0)
-    lm = lag_map(grid, 8)
-    assert lm.lag_steps == 512
-    assert clamped_lag(lm, 1000) == 488
-    assert clamped_lag(lm, 100) == 0
-    assert raw_lag(lm, 100) == -412
+    m = lag_map(grid, 8)
+    assert m == 512 and type(m) is int
+    assert clamped_lag(m, 1000) == 488
+    assert clamped_lag(m, 100) == 0
+    assert raw_lag(m, 100) == -412
 
 
 def test_lag_map_misaligned():
@@ -51,15 +51,14 @@ def test_lag_map_too_fine():
 
 def test_lag_map_non_unit_horizon():
     # T = 0.5, L = 4096: delay 1/8 is 2048 h
-    assert lag_map(make_grid(4096, 0.5), 8).lag_steps == 1024
+    assert lag_map(make_grid(4096, 0.5), 8) == 1024
 
 
 def test_clamped_lag_is_monotone_and_explicit():
-    lm = lag_map(make_grid(256, 1.0), 16)
-    m = lm.lag_steps
+    m = lag_map(make_grid(256, 1.0), 16)
     prev = 0
     for k in range(257):
-        lk = clamped_lag(lm, k)
+        lk = clamped_lag(m, k)
         assert lk >= prev
         if k >= 1:
             assert lk <= k - 1  # recursion stays explicit

@@ -60,12 +60,12 @@ def test_phi_vanishes_for_multiplicative_noise_at_zero():
 def test_phi_step_matches_increment():
     grid = make_grid(16, 1.0)
     p = validate(0.2, -0.3, 0.0, 1.0)
-    lag = lag_map(grid, 16)
+    m = lag_map(grid, 16)
     dw = generate_increments(2, 0, grid)
     model = get_model("affine")
     path = simulate_new(model, p, grid, 16, dw)
     for k in range(1, 17):
-        inc = phi_step(model, p, grid, lag, path.x, dw, k, history=0.0)
+        inc = phi_step(model, p, grid, m, path.x, dw, k, history=0.0)
         assert path.phi[k] == path.phi[k - 1] + inc
 
 
@@ -277,7 +277,7 @@ def test_block_kernel_matches_step_oracles_bitwise():
     for model in models:
         for L, T, n in grids:
             grid = make_grid(L, T)
-            h, m = grid.step_size, lag_map(grid, n).lag_steps
+            h, m = grid.step_size, lag_map(grid, n)
             for paths in (1, 5):
                 dw = rng.normal(0.0, np.sqrt(h), size=(paths, L))
                 lb = np.ascontiguousarray(dw.T)
