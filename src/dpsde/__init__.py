@@ -9,6 +9,7 @@ deterministic Monte Carlo harness for strong-convergence studies.
 """
 
 from .driver import (
+    GridPath,
     SimGrid,
     brownian_values,
     coarsen_values,
@@ -47,7 +48,6 @@ from .experiments import (
     path_sup_gaps,
     rate_fit,
     run_convergence,
-    strong_error,
 )
 from .models import (
     CoefficientModel,
@@ -64,13 +64,11 @@ from .params import PerturbationParams, beyond_mao, validate
 from .reference import (
     MaxSide,
     MinSide,
-    ReferencePath,
     exact_singly_perturbed,
     solve_reference,
 )
 from .reflect import running_max, running_min, skorohod_map
 from .scheme import (
-    SchemePath,
     simulate_general_x0,
     simulate_new,
     simulate_old,

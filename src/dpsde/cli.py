@@ -11,12 +11,13 @@ One table, ``_OPTIONS``, gives every option its parser, default and help;
 ``_COMMANDS`` names the options of each subcommand.  The study defaults are
 ``default_study``'s.  Options may also come from a config file of
 ``key = value`` lines (``#`` starts a comment): a key must name one of the
-subcommand's own options, its value goes through the same parser as the
-flag, and explicit flags override the file.  The output paths (``--out``,
-``--out-csv``, ``--out-json``) are flags only; their default directory is
-$DPSDE_OUTPUT_DIR (falling back to the working directory).  Exit codes:
-0 ok, 1 runtime/I-O failure, 2 validation failure; failures print a single
-machine-parsable line on stderr.
+subcommand's own options, and explicit flags override the file.  argparse
+only collects the raw strings; flag and config values go through the same
+parser, so a bad value fails the same way from either.  The output paths
+(``--out``, ``--out-csv``, ``--out-json``) are flags only; their default
+directory is $DPSDE_OUTPUT_DIR (falling back to the working directory).
+Exit codes: 0 ok, 1 runtime/I-O failure, 2 validation failure; failures
+print a single machine-parsable line on stderr.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from pathlib import Path
 from . import checks as checks_mod
 from . import params as params_mod
 from .driver import generate_increments, lag_map, make_grid
-from .errors import DPSDEError, NonZeroStart, UnknownFormat
+from .errors import DPSDEError, UnknownFormat, UnknownScheme
 from .experiments import ConvergenceReport, compare_schemes, default_study, run_convergence
 from .models import get_model
 from .output import write_path_csv, write_path_json, write_report_csv, write_report_json
 from .reference import solve_reference
-from .scheme import simulate_general_x0, simulate_new, simulate_old
+from .scheme import SCHEME_KINDS, check_scheme, simulate_general_x0, simulate_new, simulate_old
 
 __all__ = ["main"]
 
@@ -96,10 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if names:
             p.add_argument("--config", help="key = value config file; flags override it")
         for name in names:
-            kind, default, help_text = _OPTIONS[name]
+            _, default, help_text = _OPTIONS[name]
             shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
             # unset flags stay out of the namespace, so the config file can fill them
-            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=argparse.SUPPRESS,
+            p.add_argument("--" + name.replace("_", "-"), dest=name, default=argparse.SUPPRESS,
                            help=f"{help_text} (default {shown})")
         if command == "simulate":
             p.add_argument("--out", help="output path (default <outdir>/simulate.<format>)")
@@ -107,6 +108,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out-csv", help=f"error table CSV (default <outdir>/{command}.csv)")
             p.add_argument("--out-json", help=f"summary JSON (default <outdir>/{command}.json)")
     return parser
+
+
+def _parse(name: str, raw: str, source: str):
+    try:
+        return _OPTIONS[name][0](raw)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _parse_config_file(path: str, names: tuple[str, ...]) -> dict:
@@ -121,10 +129,7 @@ def _parse_config_file(path: str, names: tuple[str, ...]) -> dict:
         name = key.replace("-", "_")
         if name not in names:
             raise ValueError(f"unknown config key {key!r} in {path}; this subcommand's keys: {', '.join(names)}")
-        try:
-            values[name] = _OPTIONS[name][0](value)
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r} in {path}: {exc}") from None
+        values[name] = _parse(name, value, f"config key {key!r} in {path}")
     return values
 
 
@@ -134,7 +139,8 @@ def _settings(args: argparse.Namespace) -> argparse.Namespace:
     values = {name: _OPTIONS[name][1] for name in names}
     if getattr(args, "config", None):
         values.update(_parse_config_file(args.config, names))
-    values.update(vars(args))
+    for key, raw in vars(args).items():
+        values[key] = _parse(key, raw, "flag --" + key.replace("_", "-")) if key in names else raw
     return argparse.Namespace(**values)
 
 
@@ -172,11 +178,13 @@ def _cmd_simulate(s) -> int:
     grid = make_grid(s.grid_steps, params.horizon)
     # every check before the increments are drawn
     if s.scheme not in _SIMULATORS:
-        raise ValueError(f"scheme must be one of {', '.join(_SIMULATORS)}, got {s.scheme!r}")
+        raise UnknownScheme(f"scheme must be one of {', '.join(_SIMULATORS)}, got {s.scheme!r}")
     if s.format not in _PATH_WRITERS:
         raise UnknownFormat(f"format must be one of {', '.join(_PATH_WRITERS)}, got {s.format!r}")
-    if s.scheme == "new" and params.x0 != 0.0:
-        raise NonZeroStart(f"--scheme new requires x0 = 0, got x0={params.x0!r}; use --scheme general")
+    if s.scheme in SCHEME_KINDS:
+        check_scheme(s.scheme, params)
+    if s.scheme in ("general", "reference"):
+        params_mod.time_zero_level(params)  # both start from x0/(1-alpha-beta)
     lag_map(grid, s.n)  # the reference does not use n, but a bad n is still an error
     dw = generate_increments(s.seed, s.path_index, grid)
     path = _SIMULATORS[s.scheme](model, params, grid, s.n, dw)

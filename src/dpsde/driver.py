@@ -13,7 +13,13 @@ Brownian increments are drawn per path from a counter-based Philox stream
 keyed by (master_seed, path_index), so any path can be regenerated in
 isolation and results never depend on execution order.  Gaussians come from
 numpy's ziggurat sampler (inverse-free); everything is bitwise reproducible
-for a fixed numpy build.
+for a fixed numpy build.  Both key words, the seed and the path index, must
+lie in [0, 2**64).
+
+The block protocol.  Both solvers (dpsde.scheme, dpsde.reference) are
+generators over time-major (L, B) increments that check their parameters,
+then yield blocks (k0, k1, phi, big_m, big_i, x): grid rows k0..k1-1 of each
+component as (k1-k0, B) views that later blocks overwrite, time zero first.
 """
 
 from __future__ import annotations
@@ -22,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayNotAligned, DelayTooFine, InvalidGrid
+from .errors import DelayNotAligned, DelayTooFine, InvalidGrid, SeedOutOfRange
 
 __all__ = [
     "SimGrid",
+    "GridPath",
     "make_grid",
     "lag_map",
     "generate_increments",
@@ -50,6 +57,17 @@ class SimGrid:
     def times(self) -> np.ndarray:
         """All L+1 grid times, computed as k*h for bit-stable indexing."""
         return np.arange(self.steps + 1) * self.step_size
+
+
+@dataclass(frozen=True)
+class GridPath:
+    """One solver run on the grid: Phi, M, I, X sampled at t_0..t_L."""
+
+    phi: np.ndarray
+    big_m: np.ndarray
+    big_i: np.ndarray
+    x: np.ndarray
+    grid: SimGrid
 
 
 def make_grid(steps: int, horizon: float) -> SimGrid:
@@ -81,21 +99,56 @@ def lag_map(grid: SimGrid, n: int) -> int:
     return m
 
 
+def check_key_word(name: str, value: int) -> None:
+    """Raise SeedOutOfRange unless 0 <= value < 2**64 (one word of a Philox key)."""
+    if not 0 <= value <= _MASK64:
+        raise SeedOutOfRange(f"{name} must be in [0, 2**64), got {value!r}")
+
+
 def _philox_key(master_seed: int, path_index: int) -> int:
     # 128-bit key: high word = seed, low word = path index.  Distinct keys
     # give statistically independent Philox streams, so per-path draws are
     # order-independent by construction.
-    return ((master_seed & _MASK64) << 64) | (path_index & _MASK64)
+    check_key_word("master_seed", master_seed)
+    check_key_word("path_index", path_index)
+    return (master_seed << 64) | path_index
 
 
 def generate_increments(master_seed: int, path_index: int, grid: SimGrid) -> np.ndarray:
     """L centered Gaussian increments of variance h for one path.
 
     Deterministic given (master_seed, path_index, grid); distinct path
-    indices use disjoint counter-based streams.
+    indices use disjoint counter-based streams.  Raises SeedOutOfRange for a
+    seed or index outside [0, 2**64).
     """
     gen = np.random.Generator(np.random.Philox(key=_philox_key(master_seed, path_index)))
     return gen.standard_normal(grid.steps) * np.sqrt(grid.step_size)
+
+
+def time_major(increments) -> np.ndarray:
+    """Increments, 1-D for one path or (paths, L), as a C-contiguous (L, paths) array."""
+    arr = np.asarray(increments, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"increments must be 1-D or (paths, L), got shape {arr.shape}")
+    return np.ascontiguousarray(np.atleast_2d(arr).T)
+
+
+def collect(blocks, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A block stream on (L, B) increments dw as (phi, big_m, big_i, x), each (B, L+1)."""
+    out = np.empty((4, dw.shape[0] + 1, dw.shape[1]))
+    for k0, k1, *block in blocks:
+        for whole, part in zip(out, block):
+            whole[k0:k1] = part
+    return tuple(a.T for a in out)
+
+
+def single_path(batch_fn, model, params, grid: SimGrid, *args) -> GridPath:
+    """batch_fn(model, params, grid, *args) on one path, whose 1-D increments are the last argument."""
+    *lead, increments = args
+    if np.ndim(increments) != 1:
+        raise ValueError(f"a single path needs 1-D increments, got shape {np.shape(increments)}")
+    phi, big_m, big_i, x = batch_fn(model, params, grid, *lead, [increments])
+    return GridPath(phi=phi[0], big_m=big_m[0], big_i=big_i[0], x=x[0], grid=grid)
 
 
 def brownian_values(increments: np.ndarray) -> np.ndarray:

@@ -71,3 +71,19 @@ class UnknownFormat(DPSDEError, ValueError):
 
 class InvalidWorkerCount(DPSDEError, ValueError):
     """A worker count below 1."""
+
+
+class UnknownScheme(DPSDEError, ValueError):
+    """A scheme name that the caller does not run."""
+
+
+class InvalidStudy(DPSDEError, ValueError):
+    """A study with no n, a repeated n, a p that is not a finite value >= 1, or no paths."""
+
+
+class SeedOutOfRange(DPSDEError, ValueError):
+    """A master seed or path index outside [0, 2**64), one word of the Philox key."""
+
+
+class UndefinedTimeZero(DPSDEError, ValueError):
+    """alpha + beta = 1 (to rounding) leaves the time-zero level x0/(1-alpha-beta) undefined."""

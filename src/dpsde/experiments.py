@@ -39,19 +39,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Literal
 
 import numpy as np
 
-from .driver import SimGrid, generate_increments, lag_map, make_grid
-from .errors import DegenerateFit, DelayTooFine, InvalidWorkerCount, NonFinitePath, NonZeroStart
+from .driver import SimGrid, check_key_word, generate_increments, lag_map, make_grid
+from .errors import DegenerateFit, DelayTooFine, InvalidStudy, InvalidWorkerCount, NonFinitePath
 from .models import get_model
-from .params import PerturbationParams, validate
+from .params import PerturbationParams, time_zero_level, validate
 from .reference import reference_steps
-from .scheme import SCHEME_KINDS, scheme_blocks
+from .scheme import check_scheme, scheme_blocks
 
 __all__ = [
-    "SchemeKind",
     "StudySpec",
     "default_study",
     "ErrorEstimate",
@@ -59,15 +57,12 @@ __all__ = [
     "ConvergenceReport",
     "MomentEstimate",
     "SchemeComparison",
-    "strong_error",
     "path_sup_gaps",
     "rate_fit",
     "run_convergence",
     "moment_scan",
     "compare_schemes",
 ]
-
-SchemeKind = Literal["new", "old", "general"]
 
 _CHUNK = 256
 _MIN_STEPS_PER_DELAY = 8
@@ -84,20 +79,18 @@ class StudySpec:
     paths: int
     grid: SimGrid
     master_seed: int = 42
-    scheme: SchemeKind = "new"
+    scheme: str = "new"
 
     def __post_init__(self) -> None:
         get_model(self.model_id)
-        if self.scheme not in SCHEME_KINDS:
-            raise ValueError(f"scheme must be one of {sorted(SCHEME_KINDS)}, got {self.scheme!r}")
-        if self.scheme == "new" and self.params.x0 != 0.0:
-            raise NonZeroStart(f"the new scheme requires x0 = 0, got x0={self.params.x0!r}; use scheme='general'")
-        if not self.n_list:
-            raise ValueError("n_list must be non-empty")
-        if not self.p_list or any(p < 1.0 for p in self.p_list):
-            raise ValueError("p_list entries must be >= 1")
+        check_scheme(self.scheme, self.params)
+        if not self.n_list or len(set(self.n_list)) != len(self.n_list):
+            raise InvalidStudy(f"n_list must be non-empty without repeats, got {self.n_list}")
+        if not self.p_list or not all(math.isfinite(p) and p >= 1.0 for p in self.p_list):
+            raise InvalidStudy(f"p_list must be non-empty, every p finite and >= 1, got {self.p_list}")
         if self.paths < 1:
-            raise ValueError("paths must be >= 1")
+            raise InvalidStudy(f"paths must be >= 1, got {self.paths}")
+        check_key_word("master_seed", self.master_seed)
         for n in self.n_list:
             m = lag_map(self.grid, n)
             if m < _MIN_STEPS_PER_DELAY:
@@ -118,7 +111,7 @@ def default_study(
     p_list: tuple[float, ...] = (2.0, 4.0),
     paths: int = 2000,
     master_seed: int = 42,
-    scheme: SchemeKind = "new",
+    scheme: str = "new",
 ) -> StudySpec:
     """The stock desk-scale study (minutes of runtime, resolvable slopes)."""
     return StudySpec(
@@ -196,11 +189,14 @@ def _per_path_sup(
     With against_reference=True the statistic is sup_k |X^n_k - X_k| with X
     from the limit-equation solver on the same increments; otherwise it is
     sup_k |X^n_k|.  Output arrays are ordered by path index.  Raises
-    InvalidWorkerCount for workers < 1, before any work, and NonFinitePath
-    if a statistic is not finite.
+    InvalidWorkerCount for workers < 1 and UndefinedTimeZero when the
+    reference or the general scheme runs at alpha + beta = 1, both before
+    any work, and NonFinitePath if a statistic is not finite.
     """
     if workers < 1:
         raise InvalidWorkerCount(f"workers must be >= 1, got {workers!r}")
+    if against_reference or "general" in kinds:
+        time_zero_level(spec.params)
     model = get_model(spec.model_id)
     M, L = spec.paths, spec.grid.steps
     out = {(kind, n): np.empty(M) for kind in kinds for n in spec.n_list}
@@ -216,8 +212,8 @@ def _per_path_sup(
         ref = None
         if against_reference:
             ref = np.empty((L + 1, B))
-            for k, (_, _, _, x) in enumerate(reference_steps(model, spec.params, spec.grid, dw)):
-                ref[k] = x
+            for k0, k1, _, _, _, x in reference_steps(model, spec.params, spec.grid, dw):
+                ref[k0:k1] = x
         gap = np.empty((widest, B))
         block_sup = np.empty(B)
         for kind in kinds:
@@ -264,12 +260,6 @@ def path_sup_gaps(spec: StudySpec, n: int, workers: int = 1) -> np.ndarray:
         raise ValueError(f"n={n} is not in the study's n_list {spec.n_list}")
     one = replace(spec, n_list=(n,))
     return _per_path_sup(one, (spec.scheme,), True, workers)[(spec.scheme, n)]
-
-
-def strong_error(spec: StudySpec, n: int, p: float, workers: int = 1) -> tuple[float, float]:
-    """Monte Carlo estimate and standard error of E[sup_k |X^n_k - X_k|^p]."""
-    gaps = path_sup_gaps(spec, n, workers)
-    return _mean_and_se(gaps**p)
 
 
 def rate_fit(errors) -> tuple[float, float]:
@@ -348,8 +338,7 @@ def compare_schemes(spec: StudySpec, workers: int = 1) -> SchemeComparison:
     Reports both error tables side by side; no pass/fail judgement is made
     about the old scheme.
     """
-    if spec.params.x0 != 0.0:
-        raise NonZeroStart(f"the comparison runs the new scheme, which requires x0 = 0, got x0={spec.params.x0!r}")
+    check_scheme("new", spec.params)
     gaps = _per_path_sup(spec, ("new", "old"), True, workers)
     return SchemeComparison(
         new=_report_for(spec, "new", gaps),

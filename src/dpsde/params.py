@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AlphaOutOfRange, BetaOutOfRange, NonFiniteStart, NonPositiveHorizon, RhoTooLarge
+from .errors import AlphaOutOfRange, BetaOutOfRange, NonFiniteStart, NonPositiveHorizon, RhoTooLarge, UndefinedTimeZero
 
-__all__ = ["PerturbationParams", "validate", "beyond_mao"]
+__all__ = ["PerturbationParams", "validate", "beyond_mao", "time_zero_level"]
 
 
 @dataclass(frozen=True)
@@ -74,3 +74,12 @@ def beyond_mao(params: PerturbationParams) -> bool:
     beyond_mao(...) == True are the interesting test cases.
     """
     return abs(params.alpha) + abs(params.beta) >= 1.0
+
+
+def time_zero_level(params: PerturbationParams) -> float:
+    """x0 / (1 - alpha - beta), the limit equation's level at time zero; raises
+    UndefinedTimeZero where alpha + beta rounds to 1, as validate lets (0.3, 0.7) do."""
+    denom = 1.0 - params.alpha - params.beta
+    if abs(denom) < 1e-15:
+        raise UndefinedTimeZero(f"alpha + beta = {params.alpha + params.beta!r} leaves x0/(1-alpha-beta) undefined")
+    return params.x0 / denom

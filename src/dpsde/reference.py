@@ -28,7 +28,8 @@ where(D > M_k, (ii), where(D < I_k, (iii), D)) would (both cannot hold,
 since I_k <= M_k).  Every sum is taken in the same order as the
 formulas above, so the result is bit for bit the unfused case analysis,
 which the tests keep as an oracle.  reference_steps yields the state after
-every step; solve_reference_batch collects all four components, and a
+every step as a one-row block, under the block protocol stated in
+dpsde.driver; solve_reference_batch collects all four components, and a
 strong-error study keeps only X.
 
 A batch of exactly one path (solve_reference, dpsde simulate --scheme
@@ -52,13 +53,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import SimGrid, brownian_values
+from .driver import GridPath, SimGrid, brownian_values, collect, single_path, time_major
 from .errors import DPSDEError
 from .models import CoefficientModel
-from .params import PerturbationParams
+from .params import PerturbationParams, time_zero_level
 
 __all__ = [
-    "ReferencePath",
     "MaxSide",
     "MinSide",
     "reference_steps",
@@ -66,17 +66,6 @@ __all__ = [
     "solve_reference_batch",
     "exact_singly_perturbed",
 ]
-
-
-@dataclass(frozen=True)
-class ReferencePath:
-    """Solution path with its exact running extrema and integral part."""
-
-    x: np.ndarray
-    big_m: np.ndarray
-    big_i: np.ndarray
-    phi: np.ndarray
-    grid: SimGrid
 
 
 @dataclass(frozen=True)
@@ -93,38 +82,29 @@ class MinSide:
     beta: float
 
 
-def _time_zero_state(params: PerturbationParams) -> float:
-    """X_0 = M_0 = I_0 = x0 / (1 - alpha - beta), which the equation forces."""
-    denom = 1.0 - params.alpha - params.beta
-    if abs(denom) < 1e-15:
-        raise DPSDEError("alpha + beta = 1 leaves the time-zero state undefined")
-    return params.x0 / denom
-
-
 def reference_steps(model, params, grid, dw):
     """Solve the limit equation step by step on time-major (L, B) increments.
 
-    A generator: it yields (phi, big_m, big_i, x) at t_0, t_1, ..., t_L,
-    each a (B,) buffer that the next step overwrites.  The parameters are
-    checked before the first yield.
+    A generator of one-row blocks (k, k+1, phi, big_m, big_i, x), k = 0..L,
+    under the block protocol of dpsde.driver, each array a (1, B) buffer.
     """
     alpha, beta, x0, h = params.alpha, params.beta, params.x0, grid.step_size
-    c0 = _time_zero_state(params)
+    c0 = time_zero_level(params)
     L, B = dw.shape
-    phi = np.zeros(B)
-    big_m = np.full(B, c0)
-    big_i = np.full(B, c0)
-    x = np.full(B, c0)
-    yield phi, big_m, big_i, x
-    inc, noise = np.empty(B), np.empty(B)
-    s, a_m, b_i, s_am = np.empty(B), np.empty(B), np.empty(B), np.empty(B)
-    up, dn = np.empty(B, dtype=bool), np.empty(B, dtype=bool)
+    phi = np.zeros((1, B))
+    big_m = np.full((1, B), c0)
+    big_i = np.full((1, B), c0)
+    x = np.full((1, B), c0)
+    yield 0, 1, phi, big_m, big_i, x
+    inc, noise = np.empty((1, B)), np.empty((1, B))
+    s, a_m, b_i, s_am = np.empty((1, B)), np.empty((1, B)), np.empty((1, B)), np.empty((1, B))
+    up, dn = np.empty((1, B), dtype=bool), np.empty((1, B), dtype=bool)
     one_m_alpha, one_m_beta = 1.0 - alpha, 1.0 - beta
     drift, diffusion = model.drift, model.diffusion
     for k in range(L):
         t_k = k * h
         np.multiply(drift(t_k, x), h, out=inc)
-        np.multiply(diffusion(t_k, x), dw[k], out=noise)
+        np.multiply(diffusion(t_k, x), dw[k : k + 1], out=noise)
         np.add(inc, noise, out=inc)
         np.add(phi, inc, out=phi)
         np.add(x0, phi, out=s)
@@ -141,13 +121,13 @@ def reference_steps(model, params, grid, dw):
         np.divide(s_am, one_m_alpha, out=x, where=up)
         np.copyto(big_m, x, where=up)
         np.copyto(big_i, x, where=dn)
-        yield phi, big_m, big_i, x
+        yield k + 1, k + 2, phi, big_m, big_i, x
 
 
 def _solve_one_path(model, params, grid, dw):
     """reference_steps for one path in Python floats: four lists of L+1 values."""
     alpha, beta, x0, h = params.alpha, params.beta, params.x0, grid.step_size
-    c0 = _time_zero_state(params)
+    c0 = time_zero_level(params)
     phi, big_m, big_i, x = 0.0, c0, c0, c0
     phis, big_ms, big_is, xs = [phi], [big_m], [big_i], [x]
     one_m_alpha, one_m_beta = 1.0 - alpha, 1.0 - beta
@@ -184,29 +164,18 @@ def solve_reference_batch(
     x = x0 + phi + alpha*big_m + beta*big_i holds by construction.  One
     path is solved by the Python-float loop, more by reference_steps.
     """
-    dw = np.asarray(increments, dtype=float)
-    if dw.ndim == 1:
-        dw = dw[None, :]
-    if dw.shape[0] == 1:
-        return tuple(np.array([row]) for row in _solve_one_path(model, params, grid, dw[0]))
-    dw = np.ascontiguousarray(dw.T)
-    out = np.empty((4, dw.shape[0] + 1, dw.shape[1]))
-    for k, rows in enumerate(reference_steps(model, params, grid, dw)):
-        for whole, row in zip(out, rows):
-            whole[k] = row
-    return tuple(a.T for a in out)
+    dw = time_major(increments)
+    if dw.shape[1] == 1:
+        return tuple(np.array([row]) for row in _solve_one_path(model, params, grid, dw[:, 0]))
+    return collect(reference_steps(model, params, grid, dw), dw)
 
 
-def solve_reference(model, params, grid, increments) -> ReferencePath:
+def solve_reference(model, params, grid, increments) -> GridPath:
     """Solve the limit equation along one increment sequence."""
-    arr = np.asarray(increments, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("solve_reference expects a 1-D increment array")
-    phi, big_m, big_i, x = solve_reference_batch(model, params, grid, arr[None, :])
-    return ReferencePath(x=x[0], big_m=big_m[0], big_i=big_i[0], phi=phi[0], grid=grid)
+    return single_path(solve_reference_batch, model, params, grid, increments)
 
 
-def exact_singly_perturbed(increments: np.ndarray, grid: SimGrid, side) -> ReferencePath:
+def exact_singly_perturbed(increments: np.ndarray, grid: SimGrid, side) -> GridPath:
     """Closed-form path for b = 0, sigma = 1, x0 = 0 and one parameter zero.
 
     MaxSide(alpha):  X = W + (alpha/(1-alpha)) * running_max(W)
@@ -227,10 +196,10 @@ def exact_singly_perturbed(increments: np.ndarray, grid: SimGrid, side) -> Refer
         x = w + (side.beta / (1.0 - side.beta)) * np.minimum.accumulate(w, axis=-1)
     else:
         raise TypeError(f"side must be MaxSide or MinSide, got {side!r}")
-    return ReferencePath(
-        x=x,
+    return GridPath(
+        phi=w,
         big_m=np.maximum.accumulate(x, axis=-1),
         big_i=np.minimum.accumulate(x, axis=-1),
-        phi=w,
+        x=x,
         grid=grid,
     )

@@ -44,12 +44,9 @@ raw lags k0-1-m..k1-2-m and the clamped lags k0-m..k1-1-m all lie in the
 previous block or in that block's first row.  So the kernel keeps two
 (4, m+1, paths) buffers of (Phi, M, I, X), the current block and the
 previous one, where row 0 of a buffer repeats the last row of the block
-before it, and swaps them after each block.  It is a generator over
-time-major (L, paths) increments that yields each block's rows as views
-into the current buffer (the time-zero row first, as a block of its own),
-so its memory is O(m * paths) whatever L is.  The simulate_* functions
-collect the blocks into full (paths, L+1) arrays; a strong-error study
-folds them into per-path sup-gaps instead (see dpsde.experiments).
+before it, and swaps them after each block.  It yields each block's rows
+as views into the current buffer, under the block protocol stated in
+dpsde.driver, so its memory is O(m * paths) whatever L is.
 
 Increments enter integrals by left-point (Ito) sums.  Raw lags (integrand
 arguments) fall back to the constant pre-time segment when they reach
@@ -58,17 +55,14 @@ negative times; clamped lags never do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .driver import SimGrid, lag_map
-from .errors import DPSDEError, NonZeroStart
+from .driver import GridPath, SimGrid, collect, lag_map, single_path, time_major
+from .errors import NonZeroStart, UnknownScheme
 from .models import CoefficientModel
-from .params import PerturbationParams
+from .params import PerturbationParams, time_zero_level
 
 __all__ = [
-    "SchemePath",
     "simulate_new",
     "simulate_old",
     "simulate_general_x0",
@@ -76,51 +70,32 @@ __all__ = [
     "simulate_old_batch",
     "simulate_general_x0_batch",
     "scheme_blocks",
+    "check_scheme",
     "SCHEME_KINDS",
 ]
 
 SCHEME_KINDS = ("new", "old", "general")
 
 
-@dataclass(frozen=True)
-class SchemePath:
-    """One scheme run on the grid: Phi, M, I, X sampled at t_0..t_L."""
-
-    phi: np.ndarray
-    big_m: np.ndarray
-    big_i: np.ndarray
-    x: np.ndarray
-    grid: SimGrid
-
-
-def _as_bl(increments: np.ndarray) -> np.ndarray:
-    """Increments as a (B, L) array, one row per path."""
-    arr = np.asarray(increments, dtype=float)
-    if arr.ndim == 1:
-        return arr[None, :]
-    if arr.ndim == 2:
-        return arr
-    raise ValueError(f"increments must be 1-D or (paths, L), got shape {arr.shape}")
+def check_scheme(kind: str, params: PerturbationParams) -> None:
+    """Raise UnknownScheme unless kind is a scheme variant, and NonZeroStart
+    if it is "new" and x0 != 0."""
+    if kind not in SCHEME_KINDS:
+        raise UnknownScheme(f"scheme must be one of {', '.join(SCHEME_KINDS)}, got {kind!r}")
+    if kind == "new" and params.x0 != 0.0:
+        raise NonZeroStart(f"scheme 'new' requires x0 = 0, got x0={params.x0!r}; any x0 runs with --scheme general")
 
 
 def scheme_blocks(kind, model, params, grid, n, dw):
     """Run one scheme variant ("new", "old" or "general") on time-major
     (L, B) increments, one block at a time.
 
-    A generator: it yields (k0, k1, phi, big_m, big_i, x) for the time-zero
-    row (k0=0, k1=1) and then for each block of grid rows k0..k1-1, every
-    array a (k1-k0, B) view into a buffer that later blocks overwrite.  The
-    parameters are checked before the first yield.  The variants differ
-    only in their start state, their extremum arguments and the
-    positive-part clamp of "new".
+    A generator of blocks of m rows after the time-zero row, under the
+    block protocol of dpsde.driver.  The variants differ only in their start
+    state, their extremum arguments and the positive-part clamp of "new".
     """
-    if kind not in SCHEME_KINDS:
-        raise ValueError(f"scheme must be one of {list(SCHEME_KINDS)}, got {kind!r}")
+    check_scheme(kind, params)
     alpha, beta, x0, h = params.alpha, params.beta, params.x0, grid.step_size
-    if kind == "new" and x0 != 0.0:
-        raise NonZeroStart("the running-extrema scheme requires x0 = 0; use the general scheme")
-    if kind == "general" and abs(1.0 - alpha - beta) < 1e-15:
-        raise DPSDEError("alpha + beta = 1 leaves the pre-time level x0/(1-alpha-beta) undefined")
     m = lag_map(grid, n)
     L, B = dw.shape
     # (phi, big_m, big_i, x) of the current and the previous block; row 0
@@ -142,7 +117,7 @@ def scheme_blocks(kind, model, params, grid, n, dw):
         hist = x0
         up[0] = down[0] = big_m[0] = big_i[0] = x[0] = x0
     else:
-        hist = x0 / (1.0 - alpha - beta)
+        hist = time_zero_level(params)
         # the time-zero components go through the same expressions as every
         # later step (value hist up to roundoff), keeping monotonicity and
         # the step identity exact rather than one ulp off
@@ -194,15 +169,6 @@ def scheme_blocks(kind, model, params, grid, n, dw):
         yield k0, k1, p, big_m[1:], big_i[1:], x[1:]
 
 
-def _run_batch(kind, model, params, grid, n, increments):
-    dw = np.ascontiguousarray(_as_bl(increments).T)
-    out = np.empty((4, dw.shape[0] + 1, dw.shape[1]))
-    for k0, k1, *block in scheme_blocks(kind, model, params, grid, n, dw):
-        for whole, part in zip(out, block):
-            whole[k0:k1] = part
-    return tuple(a.T for a in out)
-
-
 def simulate_new_batch(
     model: CoefficientModel,
     params: PerturbationParams,
@@ -215,49 +181,38 @@ def simulate_new_batch(
     Returns (phi, big_m, big_i, x), each of shape (paths, L+1).  Requires
     params.x0 == 0; route nonzero x0 through simulate_general_x0_batch.
     """
-    return _run_batch("new", model, params, grid, n, increments)
+    dw = time_major(increments)
+    return collect(scheme_blocks("new", model, params, grid, n, dw), dw)
 
 
 def simulate_old_batch(model, params, grid, n, increments):
     """Run the plain delayed scheme (lagged state into max/min) on a batch."""
-    return _run_batch("old", model, params, grid, n, increments)
+    dw = time_major(increments)
+    return collect(scheme_blocks("old", model, params, grid, n, dw), dw)
 
 
 def simulate_general_x0_batch(model, params, grid, n, increments):
     """Run the general-x0 scheme (no positive part, x0 in the extremum args)."""
-    return _run_batch("general", model, params, grid, n, increments)
+    dw = time_major(increments)
+    return collect(scheme_blocks("general", model, params, grid, n, dw), dw)
 
 
-def _single(batch_fn, model, params, grid, n, increments) -> SchemePath:
-    arr = np.asarray(increments, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("single-path simulate_* expects a 1-D increment array")
-    phi, big_m, big_i, x = batch_fn(model, params, grid, n, arr[None, :])
-    return SchemePath(
-        phi=phi[0],
-        big_m=big_m[0],
-        big_i=big_i[0],
-        x=x[0],
-        grid=grid,
-    )
-
-
-def simulate_new(model, params, grid, n, increments) -> SchemePath:
+def simulate_new(model, params, grid, n, increments) -> GridPath:
     """One path of the running-extrema scheme (x0 = 0)."""
-    return _single(simulate_new_batch, model, params, grid, n, increments)
+    return single_path(simulate_new_batch, model, params, grid, n, increments)
 
 
-def simulate_old(model, params, grid, n, increments) -> SchemePath:
+def simulate_old(model, params, grid, n, increments) -> GridPath:
     """One path of the plain delayed scheme; big_m/big_i hold the lagged
     running max/min, and X_k = x0 + Phi_k + alpha*big_m_k + beta*big_i_k for
     k >= 1 (X_0 = x0 by the pre-time convention)."""
-    return _single(simulate_old_batch, model, params, grid, n, increments)
+    return single_path(simulate_old_batch, model, params, grid, n, increments)
 
 
-def simulate_general_x0(model, params, grid, n, increments) -> SchemePath:
+def simulate_general_x0(model, params, grid, n, increments) -> GridPath:
     """One path of the general-x0 scheme.
 
     At x0=0 it equals simulate_new in value, but not bit for bit: where
     simulate_new writes I = -0.0, this scheme writes 0.0.
     """
-    return _single(simulate_general_x0_batch, model, params, grid, n, increments)
+    return single_path(simulate_general_x0_batch, model, params, grid, n, increments)

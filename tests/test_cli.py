@@ -404,7 +404,7 @@ def test_unknown_scheme_exits_2_before_work(capsys, tmp_path, monkeypatch, comma
         "--n-list", "8,16,32", "--paths", "5", "--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
     code, _, err = run_cli(capsys, command, "--config", str(cfg), *flag, *outs)
     assert code == 2
-    assert err.startswith("dpsde: error: ValueError: scheme must be one of") and repr(scheme) in err
+    assert err.startswith("dpsde: error: UnknownScheme: scheme must be one of") and repr(scheme) in err
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -465,3 +465,92 @@ def test_flags_and_config_file_give_identical_outputs(capsys, tmp_path, command,
     else:
         assert bodies[0][1]["metadata"]["grid_steps"] == 256
         assert sorted({e["n"] for e in bodies[0][1]["errors"]}) == [8, 16, 32]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("name,value", [("alpha", "abc"), ("n-list", "8,x")])
+def test_bad_option_value_prints_one_error_line(capsys, tmp_path, monkeypatch, source, name, value):
+    import dpsde.experiments
+
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an unparsable value")
+
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{name} = {value}\n" if source == "config" else "grid_steps = 256\n")
+    flag = ["--" + name, value] if source == "flag" else []
+    code, out, err = run_cli(
+        capsys,
+        "converge", "--config", str(cfg), *flag, "--paths", "5",
+        "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"),
+    )
+    where = f"flag --{name}" if source == "flag" else f"config key {name!r}"
+    assert code == 2
+    assert err.startswith(f"dpsde: error: ValueError: {where}") and repr(value.split(",")[-1]) in err
+    assert len(err.splitlines()) == 1 and out == ""
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("option,value", [
+    ("n-list", "8,8,16"), ("n-list", ","), ("p-list", "nan,inf"), ("p-list", "inf"), ("p-list", "0.5"), ("paths", "0"),
+])
+def test_invalid_study_exits_2_before_work(capsys, tmp_path, monkeypatch, option, value):
+    import dpsde.experiments
+
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an invalid study")
+
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    args = {"grid-steps": "256", "n-list": "8,16,32", "paths": "5", option: value}
+    code, _, err = run_cli(
+        capsys,
+        "converge", *(arg for k, v in args.items() for arg in ("--" + k, v)),
+        "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"),
+    )
+    assert code == 2
+    assert err.startswith("dpsde: error: InvalidStudy:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("simulate", "--path-index", "-1"),
+    ("simulate", "--path-index", str(2**64)),
+    ("simulate", "--seed", "-1"),
+    ("converge", "--seed", "-1"),
+    ("converge", "--seed", str(2**64)),
+])
+def test_seed_or_path_index_outside_64_bits_exits_2(capsys, tmp_path, monkeypatch, command, option, value):
+    # -1 used to be masked to 2**64 - 1, so two inputs wrote the same file
+    import dpsde.experiments
+
+    def no_increments(*args):
+        raise AssertionError("increments drawn for a study with an invalid seed")
+
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    outs = ["--out", str(tmp_path / "x.csv")] if command == "simulate" else [
+        "--n-list", "8,16,32", "--paths", "5", "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json")]
+    code, _, err = run_cli(capsys, command, "--grid-steps", "256", option, value, *outs)
+    assert code == 2
+    assert err.startswith("dpsde: error: SeedOutOfRange:") and value in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["converge"], ["compare"], ["simulate", "--scheme", "general"],
+                                     ["simulate", "--scheme", "reference"]])
+def test_alpha_plus_beta_rounding_to_one_exits_2_before_work(capsys, tmp_path, monkeypatch, command):
+    # validate accepts (0.3, 0.7), but 1 - 0.3 - 0.7 is 0.0, so the start
+    # level x0/(1-alpha-beta) of the reference and the general scheme is undefined
+    import dpsde.cli
+    import dpsde.experiments
+
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an undefined time-zero level")
+
+    monkeypatch.setattr(dpsde.cli, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    outs = ["--out", str(tmp_path / "x.csv")] if command[0] == "simulate" else [
+        "--n-list", "8,16,32", "--paths", "5", "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json")]
+    code, _, err = run_cli(capsys, *command, "--alpha", "0.3", "--beta", "0.7", "--grid-steps", "256", *outs)
+    assert code == 2
+    assert err.startswith("dpsde: error: UndefinedTimeZero:")
+    assert list(tmp_path.iterdir()) == []

@@ -9,7 +9,7 @@ from dpsde.driver import (
     lag_map,
     make_grid,
 )
-from dpsde.errors import DelayNotAligned, DelayTooFine, InvalidGrid
+from dpsde.errors import DelayNotAligned, DelayTooFine, InvalidGrid, SeedOutOfRange
 
 
 def test_make_grid_step_size():
@@ -75,6 +75,15 @@ def test_increments_deterministic_and_stream_separated():
     d = generate_increments(43, 3, grid)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_increments_reject_key_words_outside_64_bits():
+    # the Philox key is two 64-bit words; a masked -1 would alias 2**64 - 1
+    grid = make_grid(8, 1.0)
+    for seed, index in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
+        with pytest.raises(SeedOutOfRange):
+            generate_increments(seed, index, grid)
+    assert generate_increments(2**64 - 1, 2**64 - 1, grid).shape == (8,)
 
 
 def test_increment_moments():

@@ -11,9 +11,13 @@ from dpsde.errors import (
     DegenerateFit,
     DelayNotAligned,
     DelayTooFine,
+    InvalidStudy,
     InvalidWorkerCount,
     NonFinitePath,
     NonZeroStart,
+    SeedOutOfRange,
+    UndefinedTimeZero,
+    UnknownScheme,
 )
 from dpsde.experiments import (
     StudySpec,
@@ -23,7 +27,6 @@ from dpsde.experiments import (
     path_sup_gaps,
     rate_fit,
     run_convergence,
-    strong_error,
 )
 from dpsde.models import CoefficientModel, Lipschitz, get_model
 from dpsde.reference import solve_reference_batch
@@ -64,25 +67,51 @@ def test_spec_rejects_new_scheme_with_nonzero_x0():
 
 
 def test_spec_rejects_bad_p_and_paths():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidStudy):
         small_spec(p_list=(0.5,))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidStudy):
         small_spec(paths=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownScheme):
         small_spec(scheme="euler")
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("n_list", (), InvalidStudy),
+    ("n_list", (8, 8, 16), InvalidStudy),
+    ("p_list", (), InvalidStudy),
+    ("p_list", (2.0, float("nan")), InvalidStudy),
+    ("p_list", (float("inf"),), InvalidStudy),
+    ("master_seed", -1, SeedOutOfRange),
+    ("master_seed", 2**64, SeedOutOfRange),
+])
+def test_spec_rejects_repeats_non_finite_p_and_seeds_outside_64_bits(field, value, error):
+    with pytest.raises(error):
+        small_spec(**{field: value})
+
+
+@pytest.mark.parametrize("study,scheme", [
+    (run_convergence, "new"), (compare_schemes, "new"), (moment_scan, "general")])
+def test_study_rejects_alpha_plus_beta_rounding_to_one_before_work(monkeypatch, study, scheme):
+    # the reference and the general scheme start from x0/(1-alpha-beta),
+    # and 1 - 0.3 - 0.7 is 0.0 although the gate accepts the pair
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an undefined time-zero level")
+
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    with pytest.raises(UndefinedTimeZero):
+        study(small_spec(params=validate(0.3, 0.7, 0.0, 1.0), scheme=scheme))
 
 
 def test_strong_error_zero_for_degenerate_dynamics():
     # x0 = 0 with coefficients vanishing at 0: scheme and reference are both
     # identically zero, the self-comparison limit of the estimator
-    spec = small_spec(model_id="gbm")
-    est, se = strong_error(spec, 8, 2.0)
-    assert est == 0.0 and se == 0.0
+    (e,) = run_convergence(small_spec(model_id="gbm", n_list=(8,))).errors
+    assert e.estimate == 0.0 and e.std_err == 0.0
 
 
-def test_strong_error_requires_listed_n():
+def test_path_sup_gaps_requires_listed_n():
     with pytest.raises(ValueError):
-        strong_error(small_spec(), 64, 2.0)
+        path_sup_gaps(small_spec(), 64)
 
 
 def test_degenerate_coupling_estimates_are_float_noise():
@@ -94,9 +123,8 @@ def test_degenerate_coupling_estimates_are_float_noise():
         n_list=(8, 16, 32),
         paths=100,
     )
-    for n in (8, 16, 32):
-        est, _ = strong_error(spec, n, 2.0)
-        assert est <= 1e-24
+    for e in run_convergence(spec).errors:
+        assert e.estimate <= 1e-24
 
 
 def test_delayed_euler_against_exact_gbm():
@@ -118,7 +146,7 @@ def test_delayed_euler_against_exact_gbm():
 
 def test_strong_error_decreases_for_delayed_gbm():
     spec = small_spec(model_id="gbm", params=validate(0.0, 0.0, 1.0, 1.0), scheme="old", paths=200)
-    estimates = [strong_error(spec, n, 2.0)[0] for n in (8, 16, 32)]
+    estimates = [e.estimate for e in run_convergence(spec).errors]
     assert estimates[0] > estimates[1] > estimates[2]
 
 
@@ -184,8 +212,8 @@ def test_jensen_consistency_between_moments():
 
 
 def test_std_err_scales_with_paths():
-    se_small = strong_error(small_spec(paths=300), 8, 2.0)[1]
-    se_large = strong_error(small_spec(paths=1200), 8, 2.0)[1]
+    se_small = run_convergence(small_spec(paths=300, n_list=(8,))).errors[0].std_err
+    se_large = run_convergence(small_spec(paths=1200, n_list=(8,))).errors[0].std_err
     ratio = se_small / se_large
     assert 1.4 < ratio < 2.9  # 4x paths should halve the standard error
 
@@ -332,7 +360,7 @@ def test_non_finite_gap_names_first_bad_path(monkeypatch):
 
 
 def test_one_delay_runs_only_that_delay(monkeypatch):
-    # path_sup_gaps and strong_error run one reference solve and one scheme
+    # path_sup_gaps and a one-n study run one reference solve and one scheme
     # run per chunk (300 paths: two chunks), not every n of the study, and
     # give the full study's gaps bit for bit
     spec = small_spec(paths=300)
@@ -354,9 +382,9 @@ def test_one_delay_runs_only_that_delay(monkeypatch):
         assert calls == [("ref", None), ("scheme", n)] * 2
         assert np.array_equal(got.view(np.int64), full[(spec.scheme, n)].view(np.int64))
         calls.clear()
-        est, _ = strong_error(spec, n, 2.0)
+        (e,) = run_convergence(small_spec(paths=300, n_list=(n,))).errors
         assert calls == [("ref", None), ("scheme", n)] * 2
-        assert np.float64(est).view(np.int64) == np.mean(full[(spec.scheme, n)] ** 2.0).view(np.int64)
+        assert np.float64(e.estimate).view(np.int64) == np.mean(full[(spec.scheme, n)] ** 2.0).view(np.int64)
 
 
 @pytest.mark.parametrize("study", [run_convergence, compare_schemes, moment_scan])

@@ -9,7 +9,9 @@ from dpsde.errors import (
     DPSDEError,
     NonPositiveHorizon,
     RhoTooLarge,
+    UndefinedTimeZero,
 )
+from dpsde.params import time_zero_level
 
 
 def direct_condition(a: float, b: float) -> bool:
@@ -112,3 +114,13 @@ def test_non_finite_x0_is_a_named_domain_error():
         with pytest.raises(dpsde.NonFiniteStart) as info:
             validate(0.0, 0.0, bad, 1.0)
         assert isinstance(info.value, dpsde.DPSDEError)
+
+
+def test_time_zero_level_rejects_alpha_plus_beta_rounding_to_one():
+    # the gate accepts (0.3, 0.7): rho rounds to just below 1, while
+    # 1 - 0.3 - 0.7 evaluates to 0.0
+    p = validate(0.3, 0.7, 1.0, 1.0)
+    assert p.rho < 1.0 and 1.0 - p.alpha - p.beta == 0.0
+    with pytest.raises(UndefinedTimeZero):
+        time_zero_level(p)
+    assert time_zero_level(validate(0.25, 0.25, 1.0, 1.0)) == 2.0

@@ -196,7 +196,7 @@ def test_fused_step_matches_implicit_step_oracle_bitwise():
 
 def vector_steps(model, params, grid, dw):
     """reference_steps on time-major (L, B) increments, collected (L+1, B)."""
-    rows = [tuple(r.copy() for r in step) for step in reference_steps(model, params, grid, dw)]
+    rows = [tuple(r[0].copy() for r in step[2:]) for step in reference_steps(model, params, grid, dw)]
     return tuple(np.array(column) for column in zip(*rows))
 
 
