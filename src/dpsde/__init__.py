@@ -27,7 +27,6 @@ from .errors import (
     EmptyInput,
     InvalidGrid,
     InvalidWorkerCount,
-    NegativeInput,
     NegativeStart,
     NonFinitePath,
     NonFiniteStart,
@@ -45,7 +44,6 @@ from .experiments import (
     compare_schemes,
     default_study,
     moment_scan,
-    path_sup_gaps,
     rate_fit,
     run_convergence,
 )
@@ -56,9 +54,7 @@ from .models import (
     Rho1,
     Rho2,
     builtin_catalog,
-    eval_modulus,
     get_model,
-    verify_regularity,
 )
 from .params import PerturbationParams, beyond_mao, validate
 from .reference import (
@@ -67,7 +63,7 @@ from .reference import (
     exact_singly_perturbed,
     solve_reference,
 )
-from .reflect import running_max, running_min, skorohod_map
+from .reflect import skorohod_map
 from .scheme import (
     simulate_general_x0,
     simulate_new,

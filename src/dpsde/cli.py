@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -85,6 +86,11 @@ _COMMANDS = {
 }
 
 
+# argparse reads a value such as -1e3, -inf or -nan as an unknown option: its
+# own pattern for negative numbers knows only -1 and -1.5
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(?:inf|nan)", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpsde",
@@ -94,6 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, names) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         if names:
             p.add_argument("--config", help="key = value config file; flags override it")
         for name in names:

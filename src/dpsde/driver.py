@@ -20,6 +20,10 @@ The block protocol.  Both solvers (dpsde.scheme, dpsde.reference) are
 generators over time-major (L, B) increments that check their parameters,
 then yield blocks (k0, k1, phi, big_m, big_i, x): grid rows k0..k1-1 of each
 component as (k1-k0, B) views that later blocks overwrite, time zero first.
+Before its first step every solver passes its increments to check_steps,
+which raises InvalidIncrements unless they hold exactly L steps per path.
+Only the shape is checked: a non-finite increment runs through, and a
+study stops on the non-finite statistic it gives with NonFinitePath.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayNotAligned, DelayTooFine, InvalidGrid, SeedOutOfRange
+from .errors import DelayNotAligned, DelayTooFine, InvalidGrid, InvalidIncrements, SeedOutOfRange
 
 __all__ = [
     "SimGrid",
@@ -129,8 +133,14 @@ def time_major(increments) -> np.ndarray:
     """Increments, 1-D for one path or (paths, L), as a C-contiguous (L, paths) array."""
     arr = np.asarray(increments, dtype=float)
     if arr.ndim not in (1, 2):
-        raise ValueError(f"increments must be 1-D or (paths, L), got shape {arr.shape}")
+        raise InvalidIncrements(f"increments must be 1-D or (paths, L), got shape {arr.shape}")
     return np.ascontiguousarray(np.atleast_2d(arr).T)
+
+
+def check_steps(dw: np.ndarray, grid: SimGrid) -> None:
+    """Raise InvalidIncrements unless time-major dw holds grid.steps increments per path."""
+    if dw.ndim != 2 or dw.shape[0] != grid.steps:
+        raise InvalidIncrements(f"need {grid.steps} increments per path, one per grid step; got (L, paths) = {dw.shape}")
 
 
 def collect(blocks, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -146,7 +156,7 @@ def single_path(batch_fn, model, params, grid: SimGrid, *args) -> GridPath:
     """batch_fn(model, params, grid, *args) on one path, whose 1-D increments are the last argument."""
     *lead, increments = args
     if np.ndim(increments) != 1:
-        raise ValueError(f"a single path needs 1-D increments, got shape {np.shape(increments)}")
+        raise InvalidIncrements(f"a single path needs 1-D increments, got shape {np.shape(increments)}")
     phi, big_m, big_i, x = batch_fn(model, params, grid, *lead, [increments])
     return GridPath(phi=phi[0], big_m=big_m[0], big_i=big_i[0], x=x[0], grid=grid)
 

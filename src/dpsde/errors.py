@@ -37,16 +37,12 @@ class DelayTooFine(DPSDEError):
     """Delay 1/n is shorter than one grid step (lag of zero steps)."""
 
 
-class NegativeInput(DPSDEError):
-    """Modulus function evaluated at a negative argument."""
-
-
 class NegativeStart(DPSDEError):
     """Skorohod map applied to a path with y_0 < 0."""
 
 
 class EmptyInput(DPSDEError):
-    """Running extrema of an empty sequence."""
+    """skorohod_map of an empty path, its only raiser."""
 
 
 class DegenerateFit(DPSDEError):
@@ -87,3 +83,7 @@ class SeedOutOfRange(DPSDEError, ValueError):
 
 class UndefinedTimeZero(DPSDEError, ValueError):
     """alpha + beta = 1 (to rounding) leaves the time-zero level x0/(1-alpha-beta) undefined."""
+
+
+class InvalidIncrements(DPSDEError, ValueError):
+    """Increments that are not 1-D or (paths, L), or whose step count is not the grid's L."""

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "ConvergenceReport",
     "MomentEstimate",
     "SchemeComparison",
-    "path_sup_gaps",
     "rate_fit",
     "run_convergence",
     "moment_scan",
@@ -249,17 +248,6 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     est = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
     return est, se
-
-
-def path_sup_gaps(spec: StudySpec, n: int, workers: int = 1) -> np.ndarray:
-    """Per-path sup_k |X^n_k - X_k| for one delay parameter (common noise).
-
-    Only that delay runs; a path's gap does not depend on the other n.
-    """
-    if n not in spec.n_list:
-        raise ValueError(f"n={n} is not in the study's n_list {spec.n_list}")
-    one = replace(spec, n_list=(n,))
-    return _per_path_sup(one, (spec.scheme,), True, workers)[(spec.scheme, n)]
 
 
 def rate_fit(errors) -> tuple[float, float]:

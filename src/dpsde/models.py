@@ -10,9 +10,11 @@ or ``Modulus(kind)`` meaning, for some p > 2 and a constant C,
 
     |sigma(t,x)-sigma(t,y)|**p + |b(t,x)-b(t,y)|**p <= C * rho(|x-y|**p)
 
-with rho a concave non-decreasing modulus vanishing at 0.  Two classical
-moduli are provided: the identity, and the Yamada-Watanabe-style
-``-u*log(u)`` modulus with a linear extension above a small epsilon.
+with rho a concave non-decreasing modulus vanishing at 0: the identity
+(Rho1) or the Yamada-Watanabe-style ``-u*log(u)`` with a linear extension
+above a small epsilon (Rho2).  The tags are declared data, the paper's
+hypotheses on the coefficients; nothing here evaluates them, and the test
+suite spot-checks each catalog model against its tag.
 
 Coefficient callables accept scalar or ndarray ``x`` (elementwise) so the
 simulation kernels can batch paths; a single-path reference solve calls
@@ -29,27 +31,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
-
-from .errors import NegativeInput
 
 __all__ = [
     "Rho1",
     "Rho2",
-    "ModulusKind",
     "Lipschitz",
     "Modulus",
-    "Regularity",
     "CoefficientModel",
-    "eval_modulus",
     "builtin_catalog",
     "get_model",
     "affine_model",
-    "gbm_model",
-    "RegularityReport",
-    "verify_regularity",
 ]
 
 _INV_E = math.exp(-1.0)
@@ -76,9 +70,6 @@ class Rho2:
             raise ValueError(f"epsilon must be in (0, 1/e], got {self.epsilon}")
 
 
-ModulusKind = Union[Rho1, Rho2]
-
-
 @dataclass(frozen=True)
 class Lipschitz:
     K: float
@@ -86,10 +77,8 @@ class Lipschitz:
 
 @dataclass(frozen=True)
 class Modulus:
-    kind: ModulusKind
+    kind: Rho1 | Rho2
 
-
-Regularity = Union[Lipschitz, Modulus]
 
 Coefficient = Callable[["np.ndarray | float", "np.ndarray | float"], "np.ndarray | float"]
 
@@ -101,31 +90,7 @@ class CoefficientModel:
     id: str
     drift: Coefficient
     diffusion: Coefficient
-    regularity: Regularity
-
-
-def eval_modulus(kind: ModulusKind, u):
-    """Evaluate the modulus at u >= 0 (scalar or ndarray).
-
-    Rho1 returns u.  Rho2 returns 0 at 0, -u*log(u) on (0, epsilon] and the
-    tangent-line extension above epsilon.  Raises NegativeInput for any
-    negative argument.
-    """
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0):
-        raise NegativeInput(f"modulus argument must be >= 0, got {u!r}")
-    if isinstance(kind, Rho1):
-        out = arr
-    else:
-        eps = kind.epsilon
-        rho_eps = -eps * math.log(eps)
-        slope = -math.log(eps) - 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            core = -arr * np.log(arr)
-        out = np.where(arr == 0.0, 0.0, np.where(arr <= eps, core, rho_eps + slope * (arr - eps)))
-    if np.isscalar(u) or getattr(u, "ndim", 0) == 0:
-        return float(out)
-    return out
+    regularity: Lipschitz | Modulus
 
 
 def _log_lipschitz_sigma(epsilon: float) -> Coefficient:
@@ -164,17 +129,6 @@ def affine_model(a0: float = 1.0, a1: float = -0.5, s0: float = 0.5, s1: float =
     )
 
 
-def gbm_model(mu: float = 0.05, sigma_bar: float = 0.2) -> CoefficientModel:
-    """Geometric Brownian motion coefficients b = mu*x, sigma = sigma_bar*x."""
-    K = max(abs(mu) + abs(sigma_bar), 1e-12)
-    return CoefficientModel(
-        id="gbm",
-        drift=lambda t, x: mu * x,
-        diffusion=lambda t, x: sigma_bar * x,
-        regularity=Lipschitz(K),
-    )
-
-
 def builtin_catalog() -> list[CoefficientModel]:
     """The built-in coefficient models, addressable by id."""
     return [
@@ -191,7 +145,12 @@ def builtin_catalog() -> list[CoefficientModel]:
             regularity=Lipschitz(1.0),
         ),
         affine_model(),
-        gbm_model(),
+        CoefficientModel(
+            id="gbm",  # geometric Brownian motion, mu = 0.05, sigma_bar = 0.2
+            drift=lambda t, x: 0.05 * x,
+            diffusion=lambda t, x: 0.2 * x,
+            regularity=Lipschitz(0.25),
+        ),
         CoefficientModel(
             id="bounded-trig",
             drift=lambda t, x: np.sin(x),
@@ -214,66 +173,3 @@ def get_model(model_id: str) -> CoefficientModel:
             return model
     known = ", ".join(m.id for m in builtin_catalog())
     raise KeyError(f"unknown model {model_id!r}; known models: {known}")
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Outcome of a sampled regularity check (report-only, never raises)."""
-
-    max_violation: float
-    fitted_constant: float | None
-    samples: int
-
-
-def verify_regularity(
-    model: CoefficientModel,
-    samples: int,
-    seed: int,
-    horizon: float = 1.0,
-    radius: float = 10.0,
-    p: float = 4.0,
-) -> RegularityReport:
-    """Spot-check the declared regularity on random (t, x, y) triples.
-
-    For Lipschitz(K) models the declared inequality is checked directly and
-    the worst relative excess is reported.  For Modulus models the constant
-    C is fitted as the largest sample ratio
-    ``(|dsigma|^p + |db|^p) / rho(|x-y|^p)`` (the modulus bound holds up to a
-    constant, so none is assumed); the report then carries that constant and
-    a zero violation provided it is finite.  The moment exponent p is a
-    study parameter, default 4.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, horizon, size=samples)
-    x = rng.uniform(-radius, radius, size=samples)
-    y = rng.uniform(-radius, radius, size=samples)
-    d_sig = np.abs(np.asarray(model.diffusion(t, x)) - np.asarray(model.diffusion(t, y)))
-    d_b = np.abs(np.asarray(model.drift(t, x)) - np.asarray(model.drift(t, y)))
-
-    if isinstance(model.regularity, Lipschitz):
-        K = model.regularity.K
-        lhs = d_sig + d_b
-        rhs = K * np.abs(x - y)
-        rel = (lhs - rhs) / np.maximum(rhs, 1.0)
-        at_zero = np.abs(np.asarray(model.diffusion(t, 0.0 * x))) + np.abs(
-            np.asarray(model.drift(t, 0.0 * x))
-        )
-        rel_zero = (at_zero - K) / max(K, 1.0)
-        worst = max(float(np.max(rel)), float(np.max(rel_zero)), 0.0)
-        return RegularityReport(max_violation=worst, fitted_constant=None, samples=samples)
-
-    kind = model.regularity.kind
-    gap_p = np.abs(x - y) ** p
-    lhs = d_sig**p + d_b**p
-    denom = np.asarray(eval_modulus(kind, gap_p))
-    mask = denom > 0.0
-    if not np.any(mask):
-        return RegularityReport(max_violation=0.0, fitted_constant=0.0, samples=samples)
-    ratios = lhs[mask] / denom[mask]
-    C = float(np.max(ratios))
-    # the fit lives in ratio space, so the excess over C is zero by
-    # construction whenever C is finite
-    worst = float(np.max(np.maximum(ratios - C, 0.0))) if math.isfinite(C) else math.inf
-    return RegularityReport(max_violation=worst, fitted_constant=C, samples=samples)

@@ -49,12 +49,13 @@ used as an independent oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import GridPath, SimGrid, brownian_values, collect, single_path, time_major
-from .errors import DPSDEError
+from .driver import GridPath, SimGrid, brownian_values, check_steps, collect, single_path, time_major
+from .errors import AlphaOutOfRange, BetaOutOfRange
 from .models import CoefficientModel
 from .params import PerturbationParams, time_zero_level
 
@@ -88,6 +89,7 @@ def reference_steps(model, params, grid, dw):
     A generator of one-row blocks (k, k+1, phi, big_m, big_i, x), k = 0..L,
     under the block protocol of dpsde.driver, each array a (1, B) buffer.
     """
+    check_steps(dw, grid)
     alpha, beta, x0, h = params.alpha, params.beta, params.x0, grid.step_size
     c0 = time_zero_level(params)
     L, B = dw.shape
@@ -125,14 +127,15 @@ def reference_steps(model, params, grid, dw):
 
 
 def _solve_one_path(model, params, grid, dw):
-    """reference_steps for one path in Python floats: four lists of L+1 values."""
+    """reference_steps for one path, (L, 1) increments, in Python floats: four lists of L+1 values."""
+    check_steps(dw, grid)
     alpha, beta, x0, h = params.alpha, params.beta, params.x0, grid.step_size
     c0 = time_zero_level(params)
     phi, big_m, big_i, x = 0.0, c0, c0, c0
     phis, big_ms, big_is, xs = [phi], [big_m], [big_i], [x]
     one_m_alpha, one_m_beta = 1.0 - alpha, 1.0 - beta
     drift, diffusion = model.drift, model.diffusion
-    for k, dw_k in enumerate(dw.tolist()):
+    for k, dw_k in enumerate(dw[:, 0].tolist()):
         t_k = k * h
         phi = phi + (drift(t_k, x) * h + diffusion(t_k, x) * dw_k)
         s = x0 + phi
@@ -166,7 +169,7 @@ def solve_reference_batch(
     """
     dw = time_major(increments)
     if dw.shape[1] == 1:
-        return tuple(np.array([row]) for row in _solve_one_path(model, params, grid, dw[:, 0]))
+        return tuple(np.array([row]) for row in _solve_one_path(model, params, grid, dw))
     return collect(reference_steps(model, params, grid, dw), dw)
 
 
@@ -178,21 +181,22 @@ def solve_reference(model, params, grid, increments) -> GridPath:
 def exact_singly_perturbed(increments: np.ndarray, grid: SimGrid, side) -> GridPath:
     """Closed-form path for b = 0, sigma = 1, x0 = 0 and one parameter zero.
 
-    MaxSide(alpha):  X = W + (alpha/(1-alpha)) * running_max(W)
-    MinSide(beta):   X = W + (beta/(1-beta))  * running_min(W)
+    MaxSide(alpha):  X = W + (alpha/(1-alpha)) * max_{j<=k} W_j
+    MinSide(beta):   X = W + (beta/(1-beta))  * min_{j<=k} W_j
 
     (The positive part in the underlying reflection identity is redundant
     because the running extrema of W straddle W_0 = 0.)  big_m/big_i are
-    recomputed from X itself so the usual path invariants hold.
+    recomputed from X itself so the usual path invariants hold.  A side
+    parameter that validate rejects raises AlphaOutOfRange/BetaOutOfRange.
     """
     w = brownian_values(np.asarray(increments, dtype=float))
     if isinstance(side, MaxSide):
-        if side.alpha >= 1.0:
-            raise DPSDEError(f"alpha must be < 1, got {side.alpha}")
+        if not math.isfinite(side.alpha) or side.alpha >= 1.0:
+            raise AlphaOutOfRange(f"alpha must be finite and < 1, got {side.alpha}")
         x = w + (side.alpha / (1.0 - side.alpha)) * np.maximum.accumulate(w, axis=-1)
     elif isinstance(side, MinSide):
-        if side.beta >= 1.0:
-            raise DPSDEError(f"beta must be < 1, got {side.beta}")
+        if not math.isfinite(side.beta) or side.beta >= 1.0:
+            raise BetaOutOfRange(f"beta must be finite and < 1, got {side.beta}")
         x = w + (side.beta / (1.0 - side.beta)) * np.minimum.accumulate(w, axis=-1)
     else:
         raise TypeError(f"side must be MaxSide or MinSide, got {side!r}")

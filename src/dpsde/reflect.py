@@ -1,4 +1,4 @@
-"""Skorohod reflection map and running extrema on sampled paths.
+"""Skorohod reflection map on sampled paths.
 
 For a path y with y_0 >= 0 the discrete Skorohod map returns the unique
 pair (z, k) with
@@ -10,8 +10,7 @@ j only when z_j = 0 ("flat off" the zero set) -- the last identity is exact
 on grids: a new maximum of (-y)^+ at j forces k_j = -y_j and hence
 z_j = y_j + (-y_j) = 0 in IEEE arithmetic.
 
-Inputs may be 1-D (one path) or 2-D (paths, L+1) batches; all functions are
-pure.
+Inputs may be 1-D (one path) or 2-D (paths, L+1) batches; the map is pure.
 """
 
 from __future__ import annotations
@@ -20,23 +19,7 @@ import numpy as np
 
 from .errors import EmptyInput, NegativeStart
 
-__all__ = ["skorohod_map", "running_max", "running_min"]
-
-
-def running_max(values: np.ndarray) -> np.ndarray:
-    """Prefix maxima along the last axis; raises EmptyInput on an empty path."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] == 0:
-        raise EmptyInput("running_max of an empty sequence")
-    return np.maximum.accumulate(values, axis=-1)
-
-
-def running_min(values: np.ndarray) -> np.ndarray:
-    """Prefix minima along the last axis; raises EmptyInput on an empty path."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] == 0:
-        raise EmptyInput("running_min of an empty sequence")
-    return np.minimum.accumulate(values, axis=-1)
+__all__ = ["skorohod_map"]
 
 
 def skorohod_map(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .driver import GridPath, SimGrid, collect, lag_map, single_path, time_major
+from .driver import GridPath, SimGrid, check_steps, collect, lag_map, single_path, time_major
 from .errors import NonZeroStart, UnknownScheme
 from .models import CoefficientModel
 from .params import PerturbationParams, time_zero_level
@@ -95,6 +95,7 @@ def scheme_blocks(kind, model, params, grid, n, dw):
     state, their extremum arguments and the positive-part clamp of "new".
     """
     check_scheme(kind, params)
+    check_steps(dw, grid)
     alpha, beta, x0, h = params.alpha, params.beta, params.x0, grid.step_size
     m = lag_map(grid, n)
     L, B = dw.shape

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from dpsde import cli
 from dpsde.cli import main
 
 
@@ -554,3 +559,38 @@ def test_alpha_plus_beta_rounding_to_one_exits_2_before_work(capsys, tmp_path, m
     assert code == 2
     assert err.startswith("dpsde: error: UndefinedTimeZero:")
     assert list(tmp_path.iterdir()) == []
+
+
+def run_main(argv):
+    """main(argv) in-process as (exit code, stdout, stderr), argparse's own exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_FLOAT_OPTIONS = sorted(name for name, (parse, _, _) in cli._OPTIONS.items() if parse is float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FLOAT_OPTIONS), st.floats(), st.sampled_from([repr, "{:e}".format]))
+@example("alpha", -1e3, "{:e}".format)
+@example("beta", -math.inf, repr)
+@example("x0", -0.0, "{:e}".format)
+@example("horizon", math.nan, repr)
+def test_float_flag_value_reads_the_same_as_its_own_token_or_after_equals(name, value, spell):
+    # every float option is one of validate's; argparse's own negative-number pattern knows only -1 and -1.5
+    flag, text = "--" + name.replace("_", "-"), spell(value)
+    apart = run_main(["validate", flag, text])
+    assert apart == run_main(["validate", f"{flag}={text}"])
+    assert "usage:" not in apart[2]
+
+
+def test_negative_exponent_value_and_help():
+    assert run_main(["validate", "--alpha", "-1e3", "--beta", "0"]) == (
+        0, "rho=-0.0 verdict=accept beyond_mao=True\n", "")
+    code, out, err = run_main(["validate", "--help"])
+    assert code == 0 and out.startswith("usage: dpsde validate") and err == ""

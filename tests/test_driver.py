@@ -9,7 +9,19 @@ from dpsde.driver import (
     lag_map,
     make_grid,
 )
-from dpsde.errors import DelayNotAligned, DelayTooFine, InvalidGrid, SeedOutOfRange
+from dpsde.errors import DelayNotAligned, DelayTooFine, InvalidGrid, InvalidIncrements, SeedOutOfRange
+from dpsde.models import get_model
+from dpsde.params import validate
+from dpsde.reference import reference_steps, solve_reference, solve_reference_batch
+from dpsde.scheme import (
+    scheme_blocks,
+    simulate_general_x0,
+    simulate_general_x0_batch,
+    simulate_new,
+    simulate_new_batch,
+    simulate_old,
+    simulate_old_batch,
+)
 
 
 def test_make_grid_step_size():
@@ -120,3 +132,37 @@ def test_coarsen_values_is_bitwise_subsample():
 def test_coarsen_rejects_non_divisor():
     with pytest.raises(InvalidGrid):
         coarsen_values(np.zeros(11), 4)
+
+
+# every solver entry on one path's 1-D increments (m, p, g, dw: model, params, grid, increments)
+_SOLVER_ENTRIES = {
+    "simulate_new": lambda m, p, g, dw: simulate_new(m, p, g, 8, dw),
+    "simulate_old": lambda m, p, g, dw: simulate_old(m, p, g, 8, dw),
+    "simulate_general_x0": lambda m, p, g, dw: simulate_general_x0(m, p, g, 8, dw),
+    "simulate_new_batch": lambda m, p, g, dw: simulate_new_batch(m, p, g, 8, [dw, dw]),
+    "simulate_old_batch": lambda m, p, g, dw: simulate_old_batch(m, p, g, 8, [dw, dw]),
+    "simulate_general_x0_batch": lambda m, p, g, dw: simulate_general_x0_batch(m, p, g, 8, [dw, dw]),
+    "scheme_blocks": lambda m, p, g, dw: next(scheme_blocks("new", m, p, g, 8, dw[:, None])),
+    "reference_steps": lambda m, p, g, dw: next(reference_steps(m, p, g, dw[:, None])),
+    "solve_reference": lambda m, p, g, dw: solve_reference(m, p, g, dw),  # the B=1 float loop
+    "solve_reference_batch": lambda m, p, g, dw: solve_reference_batch(m, p, g, [dw, dw]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SOLVER_ENTRIES))
+def test_every_solver_rejects_an_increment_count_off_the_grid(entry):
+    model, params, grid = get_model("affine"), validate(0.6, -1.0, 0.0, 1.0), make_grid(256, 1.0)
+    solve = _SOLVER_ENTRIES[entry]
+    solve(model, params, grid, np.zeros(256))
+    with pytest.raises(InvalidIncrements, match=r"need 256 increments per path"):
+        solve(model, params, grid, np.zeros(7))
+
+
+def test_increments_of_the_wrong_rank_raise_invalid_increments():
+    model, params, grid = get_model("affine"), validate(0.6, -1.0, 0.0, 1.0), make_grid(256, 1.0)
+    with pytest.raises(InvalidIncrements):
+        simulate_new(model, params, grid, 8, np.zeros((1, 256)))
+    with pytest.raises(InvalidIncrements):
+        simulate_new_batch(model, params, grid, 8, np.zeros((1, 1, 256)))
+    with pytest.raises(InvalidIncrements):
+        next(scheme_blocks("new", model, params, grid, 8, np.zeros(256)))

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from dpsde.experiments import (
     compare_schemes,
     default_study,
     moment_scan,
-    path_sup_gaps,
     rate_fit,
     run_convergence,
 )
@@ -46,6 +46,11 @@ def small_spec(**kw):
     )
     base.update(kw)
     return StudySpec(**base)
+
+
+def one_delay_gaps(spec, n):
+    """Per-path sup_k |X^n_k - X_k| of the spec's scheme, running the delay n alone."""
+    return dpsde.experiments._per_path_sup(replace(spec, n_list=(n,)), (spec.scheme,), True)[(spec.scheme, n)]
 
 
 def test_spec_enforces_resolution_rule():
@@ -107,11 +112,6 @@ def test_strong_error_zero_for_degenerate_dynamics():
     # identically zero, the self-comparison limit of the estimator
     (e,) = run_convergence(small_spec(model_id="gbm", n_list=(8,))).errors
     assert e.estimate == 0.0 and e.std_err == 0.0
-
-
-def test_path_sup_gaps_requires_listed_n():
-    with pytest.raises(ValueError):
-        path_sup_gaps(small_spec(), 64)
 
 
 def test_degenerate_coupling_estimates_are_float_noise():
@@ -205,7 +205,7 @@ def test_moment_scan_bounded_in_n():
 
 def test_jensen_consistency_between_moments():
     spec = small_spec(p_list=(2.0, 4.0), paths=150)
-    gaps = path_sup_gaps(spec, 8)
+    gaps = one_delay_gaps(spec, 8)
     e2 = float(np.mean(gaps**2.0))
     e4 = float(np.mean(gaps**4.0))
     assert e4 ** (1.0 / 4.0) >= e2 ** (1.0 / 2.0) - 1e-12
@@ -306,7 +306,7 @@ def test_streaming_fold_matches_materialised_sups_bitwise():
                     scheme=kind,
                 )
                 expected = materialised_sups(spec, n, True)
-                got = path_sup_gaps(spec, n)
+                got = one_delay_gaps(spec, n)
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (L, n, alpha, beta, kind)
                 sups = materialised_sups(spec, n, False)
                 for row in moment_scan(spec):
@@ -356,11 +356,11 @@ def test_non_finite_gap_names_first_bad_path(monkeypatch):
     first = int(np.flatnonzero(~np.isfinite(np.max(np.abs(x - ref), axis=1)))[0])
     assert first >= 256
     with pytest.raises(NonFinitePath, match=rf"first at path index {first}$"):
-        path_sup_gaps(spec, 8)
+        one_delay_gaps(spec, 8)
 
 
 def test_one_delay_runs_only_that_delay(monkeypatch):
-    # path_sup_gaps and a one-n study run one reference solve and one scheme
+    # a one-n spec runs one reference solve and one scheme
     # run per chunk (300 paths: two chunks), not every n of the study, and
     # give the full study's gaps bit for bit
     spec = small_spec(paths=300)
@@ -378,7 +378,7 @@ def test_one_delay_runs_only_that_delay(monkeypatch):
     monkeypatch.setattr(dpsde.experiments, "reference_steps", counting(dpsde.experiments.reference_steps, "ref"))
     for n in spec.n_list:
         calls.clear()
-        got = path_sup_gaps(spec, n)
+        got = one_delay_gaps(spec, n)
         assert calls == [("ref", None), ("scheme", n)] * 2
         assert np.array_equal(got.view(np.int64), full[(spec.scheme, n)].view(np.int64))
         calls.clear()

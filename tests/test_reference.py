@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from _oracles import implicit_step, random_valid_params, step_reference
 from dpsde import beyond_mao, builtin_catalog, validate
 from dpsde.driver import brownian_values, coarsen_values, generate_increments, make_grid
+from dpsde.errors import AlphaOutOfRange, BetaOutOfRange
 from dpsde.models import CoefficientModel, Lipschitz, get_model
 from dpsde.reference import (
     MaxSide,
@@ -13,7 +16,6 @@ from dpsde.reference import (
     solve_reference,
     solve_reference_batch,
 )
-from dpsde.reflect import running_max, running_min
 
 
 def const_model(b: float, s: float) -> CoefficientModel:
@@ -80,8 +82,8 @@ def test_residual_and_extrema_on_random_models():
         ref = solve_reference(model, p, grid, dw)
         resid = np.max(np.abs(ref.x - p.x0 - ref.phi - p.alpha * ref.big_m - p.beta * ref.big_i))
         assert resid <= 1e-12 * (1.0 + np.max(np.abs(ref.x)))
-        assert np.array_equal(ref.big_m, running_max(ref.x))
-        assert np.array_equal(ref.big_i, running_min(ref.x))
+        assert np.array_equal(ref.big_m, np.maximum.accumulate(ref.x))
+        assert np.array_equal(ref.big_i, np.minimum.accumulate(ref.x))
 
 
 def test_exact_singly_perturbed_hand_values_max_side():
@@ -104,6 +106,19 @@ def test_exact_singly_perturbed_hand_values_min_side():
     grid = make_grid(2, 2.0)
     ref = exact_singly_perturbed(np.array([-1.0, 2.0]), grid, MinSide(-1.0))
     assert np.allclose(ref.x, [0.0, -0.5, 1.5], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [1.0, math.nan, math.inf])
+def test_exact_singly_perturbed_rejects_what_validate_rejects(bad):
+    grid = make_grid(4, 1.0)
+    with pytest.raises(AlphaOutOfRange):
+        validate(bad, 0.0, 0.0, 1.0)
+    with pytest.raises(AlphaOutOfRange):
+        exact_singly_perturbed(np.zeros(4), grid, MaxSide(bad))
+    with pytest.raises(BetaOutOfRange):
+        validate(0.0, bad, 0.0, 1.0)
+    with pytest.raises(BetaOutOfRange):
+        exact_singly_perturbed(np.zeros(4), grid, MinSide(bad))
 
 
 def test_solver_matches_closed_form_on_same_grid():

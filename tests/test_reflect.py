@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_running_max, brute_skorohod
+from _oracles import brute_skorohod
 from dpsde.errors import EmptyInput, NegativeStart
-from dpsde.reflect import running_max, running_min, skorohod_map
+from dpsde.reflect import skorohod_map
 
 
 def test_constant_positive_path_untouched():
@@ -66,32 +66,6 @@ def test_skorohod_idempotent():
     assert np.array_equal(k2, np.zeros_like(z))
 
 
-def test_running_max_examples():
-    assert np.array_equal(running_max([1.0, 3.0, 2.0]), np.array([1.0, 3.0, 3.0]))
-    assert np.array_equal(running_max([0.0]), np.array([0.0]))
-    assert np.array_equal(running_min([1.0, 3.0, 2.0]), np.array([1.0, 1.0, 1.0]))
-
-
-def test_running_extrema_against_brute_force():
-    rng = np.random.default_rng(6)
-    v = rng.normal(size=1000)
-    assert np.array_equal(running_max(v), brute_running_max(v))
-    assert np.array_equal(running_min(v), -brute_running_max(-v))
-
-
-def test_running_extrema_bracket_path():
-    rng = np.random.default_rng(8)
-    v = rng.normal(size=500)
-    rmax = running_max(v)
-    rmin = running_min(v)
-    assert np.all(rmax >= v) and np.all(np.diff(rmax) >= 0.0)
-    assert np.all(rmin <= v) and np.all(np.diff(rmin) <= 0.0)
-
-
 def test_empty_input_rejected():
-    with pytest.raises(EmptyInput):
-        running_max(np.array([]))
-    with pytest.raises(EmptyInput):
-        running_min(np.array([]))
     with pytest.raises(EmptyInput):
         skorohod_map(np.array([]))
