@@ -67,7 +67,6 @@ from .reflect import skorohod_map
 from .scheme import (
     simulate_general_x0,
     simulate_new,
-    simulate_old,
 )
 
 __version__ = "0.1.0"

@@ -31,13 +31,13 @@ from pathlib import Path
 
 from . import checks as checks_mod
 from . import params as params_mod
-from .driver import generate_increments, lag_map, make_grid
+from .driver import generate_increments, lag_map, make_grid, single_path
 from .errors import DPSDEError, UnknownFormat, UnknownScheme
 from .experiments import ConvergenceReport, compare_schemes, default_study, run_convergence
 from .models import get_model
 from .output import write_path_csv, write_path_json, write_report_csv, write_report_json
-from .reference import solve_reference
-from .scheme import SCHEME_KINDS, check_scheme, simulate_general_x0, simulate_new, simulate_old
+from .reference import reference_steps
+from .scheme import SCHEME_KINDS, scheme_blocks
 
 __all__ = ["main"]
 
@@ -158,12 +158,8 @@ def _out_dir() -> Path:
 def _cmd_validate(s) -> int:
     try:
         params = params_mod.validate(s.alpha, s.beta, s.x0, s.horizon)
-    except DPSDEError as exc:
-        rho = None
-        if s.alpha < 1.0 and s.beta < 1.0:
-            rho = (s.alpha * s.beta) / ((1.0 - s.alpha) * (1.0 - s.beta))
-        rho_part = f"rho={rho!r} " if rho is not None else ""
-        print(f"{rho_part}verdict=reject reason={type(exc).__name__}: {exc}")
+    except DPSDEError as exc:  # a RhoTooLarge reason carries rho=...
+        print(f"verdict=reject reason={type(exc).__name__}: {exc}")
         return 2
     print(f"rho={params.rho!r} verdict=accept beyond_mao={params_mod.beyond_mao(params)}")
     return 0
@@ -171,30 +167,22 @@ def _cmd_validate(s) -> int:
 
 _PATH_WRITERS = {"csv": write_path_csv, "json": write_path_json}
 
-_SIMULATORS = {
-    "new": simulate_new,
-    "old": simulate_old,
-    "general": simulate_general_x0,
-    "reference": lambda model, params, grid, n, dw: solve_reference(model, params, grid, dw),
-}
-
 
 def _cmd_simulate(s) -> int:
     params = params_mod.validate(s.alpha, s.beta, s.x0, s.horizon)
     model = get_model(s.model)
     grid = make_grid(s.grid_steps, params.horizon)
     # every check before the increments are drawn
-    if s.scheme not in _SIMULATORS:
-        raise UnknownScheme(f"scheme must be one of {', '.join(_SIMULATORS)}, got {s.scheme!r}")
     if s.format not in _PATH_WRITERS:
         raise UnknownFormat(f"format must be one of {', '.join(_PATH_WRITERS)}, got {s.format!r}")
-    if s.scheme in SCHEME_KINDS:
-        check_scheme(s.scheme, params)
-    if s.scheme in ("general", "reference"):
-        params_mod.time_zero_level(params)  # both start from x0/(1-alpha-beta)
-    lag_map(grid, s.n)  # the reference does not use n, but a bad n is still an error
-    dw = generate_increments(s.seed, s.path_index, grid)
-    path = _SIMULATORS[s.scheme](model, params, grid, s.n, dw)
+    if s.scheme == "reference":
+        lag_map(grid, s.n)  # the reference does not use n, but a bad n is still an error
+        blocks = reference_steps(model, params, grid)
+    elif s.scheme in SCHEME_KINDS:
+        blocks = scheme_blocks(s.scheme, model, params, grid, s.n)
+    else:
+        raise UnknownScheme(f"scheme must be one of {', '.join(SCHEME_KINDS)}, reference, got {s.scheme!r}")
+    path = single_path(blocks, grid, generate_increments(s.seed, s.path_index, grid))
     out = Path(s.out) if s.out else _out_dir() / f"simulate.{s.format}"
     _PATH_WRITERS[s.format](path, out)
     print(f"wrote {out}")
@@ -238,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](_settings(args))
-    except (DPSDEError, ValueError, KeyError, OSError) as exc:
+    except (DPSDEError, ValueError, OSError) as exc:
         print(f"dpsde: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, OSError) else 2  # I/O is a runtime failure
 

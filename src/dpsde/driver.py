@@ -16,14 +16,19 @@ numpy's ziggurat sampler (inverse-free); everything is bitwise reproducible
 for a fixed numpy build.  Both key words, the seed and the path index, must
 lie in [0, 2**64).
 
-The block protocol.  Both solvers (dpsde.scheme, dpsde.reference) are
-generators over time-major (L, B) increments that check their parameters,
-then yield blocks (k0, k1, phi, big_m, big_i, x): grid rows k0..k1-1 of each
-component as (k1-k0, B) views that later blocks overwrite, time zero first.
-Before its first step every solver passes its increments to check_steps,
-which raises InvalidIncrements unless they hold exactly L steps per path.
-Only the shape is checked: a non-finite increment runs through, and a
-study stops on the non-finite statistic it gives with NonFinitePath.
+The block protocol.  A solver (dpsde.scheme.scheme_blocks,
+dpsde.reference.reference_steps) is built, then run.  Building it runs
+every check that does not depend on the increments, so bad parameters fail
+before any increment is drawn, and returns a stream: a generator function
+of time-major (L, B) increments.  Running the stream yields blocks
+(k0, k1, phi, big_m, big_i, x): grid rows k0..k1-1 of each component as
+(k1-k0, B) views that later blocks overwrite, time zero first.  A stream
+creates its buffers on each run, so one built stream may run on several
+chunks at once.  Before its first step every run passes its increments to
+check_steps, which raises InvalidIncrements unless they hold exactly L
+steps per path.  Only the shape is checked: a non-finite increment runs
+through, and a study stops on the non-finite statistic it gives with
+NonFinitePath.
 """
 
 from __future__ import annotations
@@ -129,35 +134,31 @@ def generate_increments(master_seed: int, path_index: int, grid: SimGrid) -> np.
     return gen.standard_normal(grid.steps) * np.sqrt(grid.step_size)
 
 
-def time_major(increments) -> np.ndarray:
-    """Increments, 1-D for one path or (paths, L), as a C-contiguous (L, paths) array."""
-    arr = np.asarray(increments, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise InvalidIncrements(f"increments must be 1-D or (paths, L), got shape {arr.shape}")
-    return np.ascontiguousarray(np.atleast_2d(arr).T)
-
-
 def check_steps(dw: np.ndarray, grid: SimGrid) -> None:
     """Raise InvalidIncrements unless time-major dw holds grid.steps increments per path."""
     if dw.ndim != 2 or dw.shape[0] != grid.steps:
         raise InvalidIncrements(f"need {grid.steps} increments per path, one per grid step; got (L, paths) = {dw.shape}")
 
 
-def collect(blocks, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A block stream on (L, B) increments dw as (phi, big_m, big_i, x), each (B, L+1)."""
+def collect(blocks, increments) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A built solver stream run on increments, 1-D for one path or (paths, L),
+    as (phi, big_m, big_i, x), each (paths, L+1)."""
+    arr = np.asarray(increments, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise InvalidIncrements(f"increments must be 1-D or (paths, L), got shape {arr.shape}")
+    dw = np.ascontiguousarray(np.atleast_2d(arr).T)  # time-major (L, paths)
     out = np.empty((4, dw.shape[0] + 1, dw.shape[1]))
-    for k0, k1, *block in blocks:
+    for k0, k1, *block in blocks(dw):
         for whole, part in zip(out, block):
             whole[k0:k1] = part
     return tuple(a.T for a in out)
 
 
-def single_path(batch_fn, model, params, grid: SimGrid, *args) -> GridPath:
-    """batch_fn(model, params, grid, *args) on one path, whose 1-D increments are the last argument."""
-    *lead, increments = args
+def single_path(blocks, grid: SimGrid, increments) -> GridPath:
+    """A built solver stream run on one path's 1-D increments."""
     if np.ndim(increments) != 1:
         raise InvalidIncrements(f"a single path needs 1-D increments, got shape {np.shape(increments)}")
-    phi, big_m, big_i, x = batch_fn(model, params, grid, *lead, [increments])
+    phi, big_m, big_i, x = collect(blocks, increments)
     return GridPath(phi=phi[0], big_m=big_m[0], big_i=big_i[0], x=x[0], grid=grid)
 
 

@@ -87,3 +87,9 @@ class UndefinedTimeZero(DPSDEError, ValueError):
 
 class InvalidIncrements(DPSDEError, ValueError):
     """Increments that are not 1-D or (paths, L), or whose step count is not the grid's L."""
+
+
+class UnknownModel(DPSDEError, KeyError):
+    """A model id that is not in the built-in catalog."""
+
+    __str__ = Exception.__str__  # the message, without KeyError's quotes

@@ -45,7 +45,7 @@ import numpy as np
 from .driver import SimGrid, check_key_word, generate_increments, lag_map, make_grid
 from .errors import DegenerateFit, DelayTooFine, InvalidStudy, InvalidWorkerCount, NonFinitePath
 from .models import get_model
-from .params import PerturbationParams, time_zero_level, validate
+from .params import PerturbationParams, validate
 from .reference import reference_steps
 from .scheme import check_scheme, scheme_blocks
 
@@ -188,17 +188,17 @@ def _per_path_sup(
     With against_reference=True the statistic is sup_k |X^n_k - X_k| with X
     from the limit-equation solver on the same increments; otherwise it is
     sup_k |X^n_k|.  Output arrays are ordered by path index.  Raises
-    InvalidWorkerCount for workers < 1 and UndefinedTimeZero when the
-    reference or the general scheme runs at alpha + beta = 1, both before
-    any work, and NonFinitePath if a statistic is not finite.
+    InvalidWorkerCount for workers < 1, and whatever building the solvers
+    raises (NonZeroStart, UndefinedTimeZero, ...), before any increment is
+    drawn, and NonFinitePath if a statistic is not finite.
     """
     if workers < 1:
         raise InvalidWorkerCount(f"workers must be >= 1, got {workers!r}")
-    if against_reference or "general" in kinds:
-        time_zero_level(spec.params)
     model = get_model(spec.model_id)
+    ref_steps = reference_steps(model, spec.params, spec.grid) if against_reference else None
+    streams = {(kind, n): scheme_blocks(kind, model, spec.params, spec.grid, n) for kind in kinds for n in spec.n_list}
     M, L = spec.paths, spec.grid.steps
-    out = {(kind, n): np.empty(M) for kind in kinds for n in spec.n_list}
+    out = {key: np.empty(M) for key in streams}
     bounds = [(s, min(s + _CHUNK, M)) for s in range(0, M, _CHUNK)]
     widest = max(lag_map(spec.grid, n) for n in spec.n_list)
 
@@ -211,29 +211,28 @@ def _per_path_sup(
         ref = None
         if against_reference:
             ref = np.empty((L + 1, B))
-            for k0, k1, _, _, _, x in reference_steps(model, spec.params, spec.grid, dw):
+            for k0, k1, _, _, _, x in ref_steps(dw):
                 ref[k0:k1] = x
         gap = np.empty((widest, B))
         block_sup = np.empty(B)
-        for kind in kinds:
-            for n in spec.n_list:
-                sup = out[(kind, n)][s:e]
-                sup[:] = 0.0  # every |.| is >= +0.0, so 0 is the fold's identity
-                for k0, k1, _, _, _, x in scheme_blocks(kind, model, spec.params, spec.grid, n, dw):
-                    g = gap[: k1 - k0]
-                    if against_reference:
-                        np.subtract(x, ref[k0:k1], out=g)
-                        np.abs(g, out=g)
-                    else:
-                        np.abs(x, out=g)
-                    np.maximum.reduce(g, axis=0, out=block_sup)
-                    np.maximum(sup, block_sup, out=sup)
-                bad = np.flatnonzero(~np.isfinite(sup))
-                if bad.size:
-                    what = "sup gap" if against_reference else "sup"
-                    raise NonFinitePath(
-                        f"non-finite per-path {what} for scheme {kind!r}, n={n}: first at path index {s + bad[0]}"
-                    )
+        for (kind, n), blocks in streams.items():
+            sup = out[(kind, n)][s:e]
+            sup[:] = 0.0  # every |.| is >= +0.0, so 0 is the fold's identity
+            for k0, k1, _, _, _, x in blocks(dw):
+                g = gap[: k1 - k0]
+                if against_reference:
+                    np.subtract(x, ref[k0:k1], out=g)
+                    np.abs(g, out=g)
+                else:
+                    np.abs(x, out=g)
+                np.maximum.reduce(g, axis=0, out=block_sup)
+                np.maximum(sup, block_sup, out=sup)
+            bad = np.flatnonzero(~np.isfinite(sup))
+            if bad.size:
+                what = "sup gap" if against_reference else "sup"
+                raise NonFinitePath(
+                    f"non-finite per-path {what} for scheme {kind!r}, n={n}: first at path index {s + bad[0]}"
+                )
 
     if workers == 1:
         for span in bounds:
@@ -326,7 +325,6 @@ def compare_schemes(spec: StudySpec, workers: int = 1) -> SchemeComparison:
     Reports both error tables side by side; no pass/fail judgement is made
     about the old scheme.
     """
-    check_scheme("new", spec.params)
     gaps = _per_path_sup(spec, ("new", "old"), True, workers)
     return SchemeComparison(
         new=_report_for(spec, "new", gaps),

@@ -35,6 +35,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import UnknownModel
+
 __all__ = [
     "Rho1",
     "Rho2",
@@ -167,9 +169,9 @@ def builtin_catalog() -> list[CoefficientModel]:
 
 
 def get_model(model_id: str) -> CoefficientModel:
-    """Look up a catalog model by id; raises KeyError with the known ids."""
+    """Look up a catalog model by id; raises UnknownModel (a KeyError) with the known ids."""
     for model in builtin_catalog():
         if model.id == model_id:
             return model
     known = ", ".join(m.id for m in builtin_catalog())
-    raise KeyError(f"unknown model {model_id!r}; known models: {known}")
+    raise UnknownModel(f"unknown model {model_id!r}; known models: {known}")

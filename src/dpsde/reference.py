@@ -27,20 +27,22 @@ writes D, and then overwrites D with case (iii) where D < I_k and with case
 where(D > M_k, (ii), where(D < I_k, (iii), D)) would (both cannot hold,
 since I_k <= M_k).  Every sum is taken in the same order as the
 formulas above, so the result is bit for bit the unfused case analysis,
-which the tests keep as an oracle.  reference_steps yields the state after
-every step as a one-row block, under the block protocol stated in
-dpsde.driver; solve_reference_batch collects all four components, and a
-strong-error study keeps only X.
+which the tests keep as an oracle.  reference_steps checks the parameters
+and builds a stream, which yields the state after every step as a one-row
+block, under the block protocol stated in dpsde.driver; solve_reference_batch
+collects all four components, and a strong-error study keeps only X.
 
-A batch of exactly one path (solve_reference, dpsde simulate --scheme
-reference) is solved by a plain Python-float loop instead: with one element
-per buffer, the fused step's twenty-odd ufunc calls are all overhead.  The
-choice depends on the path count alone.  The loop does the same IEEE-754
-double operations in the same order (phi + (drift*h + diffusion*dW),
-s = x0 + phi, D = (s + alpha*M_k) + beta*I_k, the same divisors) and takes
-case (ii) if D > M_k, else case (iii) if D < I_k.  Coefficients act
-elementwise, so a float x gives the bits of the matching array element,
-and the tests compare both routes bit for bit on every catalog model.
+A run on exactly one path (solve_reference, dpsde simulate --scheme
+reference, or a study's one-path last chunk) takes a plain Python-float loop
+inside the same stream instead, and yields all L+1 rows as one block: with
+one element per buffer, the fused step's twenty-odd ufunc calls are all
+overhead.  The choice depends on the path count alone.  The loop does the
+same IEEE-754 double operations in the same order
+(phi + (drift*h + diffusion*dW), s = x0 + phi,
+D = (s + alpha*M_k) + beta*I_k, the same divisors) and takes case (ii) if
+D > M_k, else case (iii) if D < I_k.  Coefficients act elementwise, so a
+float x gives the bits of the matching array element, and the tests
+compare both routes bit for bit on every catalog model.
 
 For b = 0, sigma = 1, x0 = 0 and one vanishing parameter the solution has
 an explicit running-extremum form, exposed as exact_singly_perturbed and
@@ -49,15 +51,13 @@ used as an independent oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import GridPath, SimGrid, brownian_values, check_steps, collect, single_path, time_major
-from .errors import AlphaOutOfRange, BetaOutOfRange
+from .driver import GridPath, SimGrid, brownian_values, check_steps, collect, single_path
 from .models import CoefficientModel
-from .params import PerturbationParams, time_zero_level
+from .params import PerturbationParams, time_zero_level, validate
 
 __all__ = [
     "MaxSide",
@@ -83,75 +83,75 @@ class MinSide:
     beta: float
 
 
-def reference_steps(model, params, grid, dw):
-    """Solve the limit equation step by step on time-major (L, B) increments.
+def reference_steps(model, params, grid):
+    """Build the limit-equation solver as a block stream.
 
-    A generator of one-row blocks (k, k+1, phi, big_m, big_i, x), k = 0..L,
-    under the block protocol of dpsde.driver, each array a (1, B) buffer.
+    Calling it runs time_zero_level and returns a generator function of
+    time-major (L, B) increments, under the block protocol of dpsde.driver.
+    For B > 1 it yields one-row blocks (k, k+1, phi, big_m, big_i, x),
+    k = 0..L, each array a (1, B) buffer; for B = 1 it runs the Python-float
+    loop and yields all L+1 rows as one block.
     """
-    check_steps(dw, grid)
     alpha, beta, x0, h = params.alpha, params.beta, params.x0, grid.step_size
     c0 = time_zero_level(params)
-    L, B = dw.shape
-    phi = np.zeros((1, B))
-    big_m = np.full((1, B), c0)
-    big_i = np.full((1, B), c0)
-    x = np.full((1, B), c0)
-    yield 0, 1, phi, big_m, big_i, x
-    inc, noise = np.empty((1, B)), np.empty((1, B))
-    s, a_m, b_i, s_am = np.empty((1, B)), np.empty((1, B)), np.empty((1, B)), np.empty((1, B))
-    up, dn = np.empty((1, B), dtype=bool), np.empty((1, B), dtype=bool)
     one_m_alpha, one_m_beta = 1.0 - alpha, 1.0 - beta
     drift, diffusion = model.drift, model.diffusion
-    for k in range(L):
-        t_k = k * h
-        np.multiply(drift(t_k, x), h, out=inc)
-        np.multiply(diffusion(t_k, x), dw[k : k + 1], out=noise)
-        np.add(inc, noise, out=inc)
-        np.add(phi, inc, out=phi)
-        np.add(x0, phi, out=s)
-        np.multiply(alpha, big_m, out=a_m)
-        np.multiply(beta, big_i, out=b_i)
-        np.add(s, a_m, out=s_am)
-        np.add(s_am, b_i, out=x)  # D: no extremum moves
-        np.greater(x, big_m, out=up)
-        np.less(x, big_i, out=dn)
-        # a new minimum first, then a new maximum over it, as in
-        # where(up, new max, where(dn, new min, D))
-        np.divide(s_am, one_m_beta, out=x, where=dn)
-        np.add(s, b_i, out=s_am)
-        np.divide(s_am, one_m_alpha, out=x, where=up)
-        np.copyto(big_m, x, where=up)
-        np.copyto(big_i, x, where=dn)
-        yield k + 1, k + 2, phi, big_m, big_i, x
 
+    def steps(dw):
+        check_steps(dw, grid)
+        L, B = dw.shape
+        if B == 1:
+            phi, big_m, big_i, x = 0.0, c0, c0, c0
+            phis, big_ms, big_is, xs = [phi], [big_m], [big_i], [x]
+            for k, dw_k in enumerate(dw[:, 0].tolist()):
+                t_k = k * h
+                phi = phi + (drift(t_k, x) * h + diffusion(t_k, x) * dw_k)
+                s = x0 + phi
+                s_am = s + alpha * big_m
+                x = s_am + beta * big_i
+                if x > big_m:
+                    x = (s + beta * big_i) / one_m_alpha
+                    big_m = x
+                elif x < big_i:
+                    x = s_am / one_m_beta
+                    big_i = x
+                phis.append(phi)
+                big_ms.append(big_m)
+                big_is.append(big_i)
+                xs.append(x)
+            yield 0, L + 1, *(np.array(column)[:, None] for column in (phis, big_ms, big_is, xs))
+            return
+        phi = np.zeros((1, B))
+        big_m = np.full((1, B), c0)
+        big_i = np.full((1, B), c0)
+        x = np.full((1, B), c0)
+        yield 0, 1, phi, big_m, big_i, x
+        inc, noise = np.empty((1, B)), np.empty((1, B))
+        s, a_m, b_i, s_am = np.empty((1, B)), np.empty((1, B)), np.empty((1, B)), np.empty((1, B))
+        up, dn = np.empty((1, B), dtype=bool), np.empty((1, B), dtype=bool)
+        for k in range(L):
+            t_k = k * h
+            np.multiply(drift(t_k, x), h, out=inc)
+            np.multiply(diffusion(t_k, x), dw[k : k + 1], out=noise)
+            np.add(inc, noise, out=inc)
+            np.add(phi, inc, out=phi)
+            np.add(x0, phi, out=s)
+            np.multiply(alpha, big_m, out=a_m)
+            np.multiply(beta, big_i, out=b_i)
+            np.add(s, a_m, out=s_am)
+            np.add(s_am, b_i, out=x)  # D: no extremum moves
+            np.greater(x, big_m, out=up)
+            np.less(x, big_i, out=dn)
+            # a new minimum first, then a new maximum over it, as in
+            # where(up, new max, where(dn, new min, D))
+            np.divide(s_am, one_m_beta, out=x, where=dn)
+            np.add(s, b_i, out=s_am)
+            np.divide(s_am, one_m_alpha, out=x, where=up)
+            np.copyto(big_m, x, where=up)
+            np.copyto(big_i, x, where=dn)
+            yield k + 1, k + 2, phi, big_m, big_i, x
 
-def _solve_one_path(model, params, grid, dw):
-    """reference_steps for one path, (L, 1) increments, in Python floats: four lists of L+1 values."""
-    check_steps(dw, grid)
-    alpha, beta, x0, h = params.alpha, params.beta, params.x0, grid.step_size
-    c0 = time_zero_level(params)
-    phi, big_m, big_i, x = 0.0, c0, c0, c0
-    phis, big_ms, big_is, xs = [phi], [big_m], [big_i], [x]
-    one_m_alpha, one_m_beta = 1.0 - alpha, 1.0 - beta
-    drift, diffusion = model.drift, model.diffusion
-    for k, dw_k in enumerate(dw[:, 0].tolist()):
-        t_k = k * h
-        phi = phi + (drift(t_k, x) * h + diffusion(t_k, x) * dw_k)
-        s = x0 + phi
-        s_am = s + alpha * big_m
-        x = s_am + beta * big_i
-        if x > big_m:
-            x = (s + beta * big_i) / one_m_alpha
-            big_m = x
-        elif x < big_i:
-            x = s_am / one_m_beta
-            big_i = x
-        phis.append(phi)
-        big_ms.append(big_m)
-        big_is.append(big_i)
-        xs.append(x)
-    return phis, big_ms, big_is, xs
+    return steps
 
 
 def solve_reference_batch(
@@ -164,18 +164,14 @@ def solve_reference_batch(
 
     Returns (phi, big_m, big_i, x), each (paths, L+1); big_m/big_i are the
     exact running extrema of x and the step identity
-    x = x0 + phi + alpha*big_m + beta*big_i holds by construction.  One
-    path is solved by the Python-float loop, more by reference_steps.
+    x = x0 + phi + alpha*big_m + beta*big_i holds by construction.
     """
-    dw = time_major(increments)
-    if dw.shape[1] == 1:
-        return tuple(np.array([row]) for row in _solve_one_path(model, params, grid, dw))
-    return collect(reference_steps(model, params, grid, dw), dw)
+    return collect(reference_steps(model, params, grid), increments)
 
 
 def solve_reference(model, params, grid, increments) -> GridPath:
     """Solve the limit equation along one increment sequence."""
-    return single_path(solve_reference_batch, model, params, grid, increments)
+    return single_path(reference_steps(model, params, grid), grid, increments)
 
 
 def exact_singly_perturbed(increments: np.ndarray, grid: SimGrid, side) -> GridPath:
@@ -191,12 +187,10 @@ def exact_singly_perturbed(increments: np.ndarray, grid: SimGrid, side) -> GridP
     """
     w = brownian_values(np.asarray(increments, dtype=float))
     if isinstance(side, MaxSide):
-        if not math.isfinite(side.alpha) or side.alpha >= 1.0:
-            raise AlphaOutOfRange(f"alpha must be finite and < 1, got {side.alpha}")
+        validate(side.alpha, 0.0, 0.0, 1.0)
         x = w + (side.alpha / (1.0 - side.alpha)) * np.maximum.accumulate(w, axis=-1)
     elif isinstance(side, MinSide):
-        if not math.isfinite(side.beta) or side.beta >= 1.0:
-            raise BetaOutOfRange(f"beta must be finite and < 1, got {side.beta}")
+        validate(0.0, side.beta, 0.0, 1.0)
         x = w + (side.beta / (1.0 - side.beta)) * np.minimum.accumulate(w, axis=-1)
     else:
         raise TypeError(f"side must be MaxSide or MinSide, got {side!r}")

@@ -29,7 +29,7 @@ Block evaluation.  Step k reads the coefficients at the raw lag k-1-m and
 the extrema at the clamped lag max(k-m, 0), both at least m steps back.
 So every input of the m steps k0..k0+m-1 is final once step k0-1 is done,
 and all three variants advance a whole block per Python iteration
-(ceil(L/m) iterations per call; the last block is partial when L/m is not
+(ceil(L/m) iterations per run; the last block is partial when L/m is not
 an integer): one coefficient evaluation on the (m, paths) lagged rows with
 t as an (m, 1) column, Phi from one np.add.accumulate over
 [Phi_{k0-1}, increments...], and each running extremum from one
@@ -46,7 +46,9 @@ previous block or in that block's first row.  So the kernel keeps two
 previous one, where row 0 of a buffer repeats the last row of the block
 before it, and swaps them after each block.  It yields each block's rows
 as views into the current buffer, under the block protocol stated in
-dpsde.driver, so its memory is O(m * paths) whatever L is.
+dpsde.driver, so its memory is O(m * paths) whatever L is.  scheme_blocks
+checks the parameters and works out m and the start state once, when the
+stream is built; each run of the stream allocates its own buffers.
 
 Increments enter integrals by left-point (Ito) sums.  Raw lags (integrand
 arguments) fall back to the constant pre-time segment when they reach
@@ -57,14 +59,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .driver import GridPath, SimGrid, check_steps, collect, lag_map, single_path, time_major
+from .driver import GridPath, SimGrid, check_steps, collect, lag_map, single_path
 from .errors import NonZeroStart, UnknownScheme
 from .models import CoefficientModel
 from .params import PerturbationParams, time_zero_level
 
 __all__ = [
     "simulate_new",
-    "simulate_old",
     "simulate_general_x0",
     "simulate_new_batch",
     "simulate_old_batch",
@@ -86,88 +87,89 @@ def check_scheme(kind: str, params: PerturbationParams) -> None:
         raise NonZeroStart(f"scheme 'new' requires x0 = 0, got x0={params.x0!r}; any x0 runs with --scheme general")
 
 
-def scheme_blocks(kind, model, params, grid, n, dw):
-    """Run one scheme variant ("new", "old" or "general") on time-major
-    (L, B) increments, one block at a time.
+def scheme_blocks(kind, model, params, grid, n):
+    """Build one scheme variant ("new", "old" or "general") as a block stream.
 
-    A generator of blocks of m rows after the time-zero row, under the
-    block protocol of dpsde.driver.  The variants differ only in their start
-    state, their extremum arguments and the positive-part clamp of "new".
+    Calling it runs check_scheme, lag_map and, for "general",
+    time_zero_level, and returns a generator function of time-major (L, B)
+    increments.  It yields blocks of m rows after the time-zero row, under
+    the block protocol of dpsde.driver.  The variants differ only in their
+    start state, their extremum arguments and the positive-part clamp of "new".
     """
     check_scheme(kind, params)
-    check_steps(dw, grid)
     alpha, beta, x0, h = params.alpha, params.beta, params.x0, grid.step_size
     m = lag_map(grid, n)
-    L, B = dw.shape
-    # (phi, big_m, big_i, x) of the current and the previous block; row 0
-    # of a buffer is the last row of the block before it
-    cur = np.empty((4, m + 1, B))
-    prev = np.empty((4, m + 1, B))
-    # [carry, arguments...] of the two running extrema; for "new" and
-    # "general" the carry is the running max before clamp and division
-    up = np.empty((m + 1, B))
-    down = np.empty((m + 1, B))
-    phi, big_m, big_i, x = cur
-    phi[0] = 0.0
-    if kind == "new":
-        # the general formulas at x0 = +0.0: Phi starts at +0.0, so it is
-        # never -0.0 and 0.0 + Phi is Phi bit for bit
-        hist = x0 = 0.0
-        up[0] = down[0] = big_m[0] = big_i[0] = x[0] = 0.0
-    elif kind == "old":
-        hist = x0
-        up[0] = down[0] = big_m[0] = big_i[0] = x[0] = x0
-    else:
-        hist = time_zero_level(params)
+    if kind == "general":
         # the time-zero components go through the same expressions as every
         # later step (value hist up to roundoff), keeping monotonicity and
         # the step identity exact rather than one ulp off
-        up[0] = x0 + beta * hist
-        down[0] = -x0 - alpha * hist
-        big_m[0] = up[0] / (1.0 - alpha)
-        big_i[0] = down[0] / (beta - 1.0)
-        x[0] = x0 + alpha * big_m[0] + beta * big_i[0]
-    yield 0, 1, phi[:1], big_m[:1], big_i[:1], x[:1]
+        hist = time_zero_level(params)
+        up0, down0 = x0 + beta * hist, -x0 - alpha * hist
+        m0, i0 = up0 / (1.0 - alpha), down0 / (beta - 1.0)
+        start = (up0, down0, m0, i0, x0 + alpha * m0 + beta * i0)
+    else:
+        # "new" is the general formulas at x0 = +0.0: Phi starts at +0.0, so
+        # it is never -0.0 and 0.0 + Phi is Phi bit for bit
+        hist = x0 = 0.0 if kind == "new" else x0
+        start = (x0,) * 5
     drift, diffusion = model.drift, model.diffusion
-    for k0 in range(1, L + 1, m):
-        k1 = min(k0 + m, L + 1)
-        w = k1 - k0
-        if k0 > m:
-            prev, cur = cur, prev
-            cur[:, 0] = prev[:, m]
-            xlag = prev[3, :w]
-            lag = prev[:, 1 : w + 1]
-        else:  # first block: raw lags before time zero, clamped lags at row 0
-            xlag = np.full((w, B), hist)
-            lag = cur[:, :1]
-        phi, big_m, big_i, x = cur[:, : w + 1]
-        t = (np.arange(k0 - 1, k1 - 1) * h)[:, None]
-        phi[1:] = drift(t, xlag) * h + diffusion(t, xlag) * dw[k0 - 1 : k1 - 1]
-        np.add.accumulate(phi, axis=0, out=phi)
-        p = phi[1:]
-        base = x0 + p
-        u, d = up[: w + 1], down[: w + 1]
-        if kind == "old":
-            u[1:] = d[1:] = lag[3]
-            np.maximum.accumulate(u, axis=0, out=u)
-            np.minimum.accumulate(d, axis=0, out=d)
-            big_m[1:] = u[1:]
-            big_i[1:] = d[1:]
-        else:
-            u[1:] = base + beta * lag[2]
-            # -Phi, not -0.0 - Phi, which would keep the sign of a NaN
-            d[1:] = (-p if kind == "new" else -x0 - p) - alpha * lag[1]
-            np.maximum.accumulate(u, axis=0, out=u)
-            np.maximum.accumulate(d, axis=0, out=d)
-            g, q = u[1:], d[1:]
-            if kind == "new":
-                g, q = np.maximum(g, 0.0), np.maximum(q, 0.0)
-            big_m[1:] = g / (1.0 - alpha)
-            big_i[1:] = q / (beta - 1.0)
-        x[1:] = base + alpha * big_m[1:] + beta * big_i[1:]
-        up[0] = u[w]
-        down[0] = d[w]
-        yield k0, k1, p, big_m[1:], big_i[1:], x[1:]
+
+    def blocks(dw):
+        check_steps(dw, grid)
+        L, B = dw.shape
+        # (phi, big_m, big_i, x) of the current and the previous block; row 0
+        # of a buffer is the last row of the block before it
+        cur = np.empty((4, m + 1, B))
+        prev = np.empty((4, m + 1, B))
+        # [carry, arguments...] of the two running extrema; for "new" and
+        # "general" the carry is the running max before clamp and division
+        up = np.empty((m + 1, B))
+        down = np.empty((m + 1, B))
+        phi, big_m, big_i, x = cur
+        phi[0] = 0.0
+        up[0], down[0], big_m[0], big_i[0], x[0] = start
+        yield 0, 1, phi[:1], big_m[:1], big_i[:1], x[:1]
+        for k0 in range(1, L + 1, m):
+            k1 = min(k0 + m, L + 1)
+            w = k1 - k0
+            if k0 > m:
+                prev, cur = cur, prev
+                cur[:, 0] = prev[:, m]
+                xlag = prev[3, :w]
+                lag = prev[:, 1 : w + 1]
+            else:  # first block: raw lags before time zero, clamped lags at row 0
+                xlag = np.full((w, B), hist)
+                lag = cur[:, :1]
+            phi, big_m, big_i, x = cur[:, : w + 1]
+            t = (np.arange(k0 - 1, k1 - 1) * h)[:, None]
+            phi[1:] = drift(t, xlag) * h + diffusion(t, xlag) * dw[k0 - 1 : k1 - 1]
+            np.add.accumulate(phi, axis=0, out=phi)
+            p = phi[1:]
+            base = x0 + p
+            u, d = up[: w + 1], down[: w + 1]
+            if kind == "old":
+                u[1:] = d[1:] = lag[3]
+                np.maximum.accumulate(u, axis=0, out=u)
+                np.minimum.accumulate(d, axis=0, out=d)
+                big_m[1:] = u[1:]
+                big_i[1:] = d[1:]
+            else:
+                u[1:] = base + beta * lag[2]
+                # -Phi, not -0.0 - Phi, which would keep the sign of a NaN
+                d[1:] = (-p if kind == "new" else -x0 - p) - alpha * lag[1]
+                np.maximum.accumulate(u, axis=0, out=u)
+                np.maximum.accumulate(d, axis=0, out=d)
+                g, q = u[1:], d[1:]
+                if kind == "new":
+                    g, q = np.maximum(g, 0.0), np.maximum(q, 0.0)
+                big_m[1:] = g / (1.0 - alpha)
+                big_i[1:] = q / (beta - 1.0)
+            x[1:] = base + alpha * big_m[1:] + beta * big_i[1:]
+            up[0] = u[w]
+            down[0] = d[w]
+            yield k0, k1, p, big_m[1:], big_i[1:], x[1:]
+
+    return blocks
 
 
 def simulate_new_batch(
@@ -182,32 +184,22 @@ def simulate_new_batch(
     Returns (phi, big_m, big_i, x), each of shape (paths, L+1).  Requires
     params.x0 == 0; route nonzero x0 through simulate_general_x0_batch.
     """
-    dw = time_major(increments)
-    return collect(scheme_blocks("new", model, params, grid, n, dw), dw)
+    return collect(scheme_blocks("new", model, params, grid, n), increments)
 
 
 def simulate_old_batch(model, params, grid, n, increments):
     """Run the plain delayed scheme (lagged state into max/min) on a batch."""
-    dw = time_major(increments)
-    return collect(scheme_blocks("old", model, params, grid, n, dw), dw)
+    return collect(scheme_blocks("old", model, params, grid, n), increments)
 
 
 def simulate_general_x0_batch(model, params, grid, n, increments):
     """Run the general-x0 scheme (no positive part, x0 in the extremum args)."""
-    dw = time_major(increments)
-    return collect(scheme_blocks("general", model, params, grid, n, dw), dw)
+    return collect(scheme_blocks("general", model, params, grid, n), increments)
 
 
 def simulate_new(model, params, grid, n, increments) -> GridPath:
     """One path of the running-extrema scheme (x0 = 0)."""
-    return single_path(simulate_new_batch, model, params, grid, n, increments)
-
-
-def simulate_old(model, params, grid, n, increments) -> GridPath:
-    """One path of the plain delayed scheme; big_m/big_i hold the lagged
-    running max/min, and X_k = x0 + Phi_k + alpha*big_m_k + beta*big_i_k for
-    k >= 1 (X_0 = x0 by the pre-time convention)."""
-    return single_path(simulate_old_batch, model, params, grid, n, increments)
+    return single_path(scheme_blocks("new", model, params, grid, n), grid, increments)
 
 
 def simulate_general_x0(model, params, grid, n, increments) -> GridPath:
@@ -216,4 +208,4 @@ def simulate_general_x0(model, params, grid, n, increments) -> GridPath:
     At x0=0 it equals simulate_new in value, but not bit for bit: where
     simulate_new writes I = -0.0, this scheme writes 0.0.
     """
-    return single_path(simulate_general_x0_batch, model, params, grid, n, increments)
+    return single_path(scheme_blocks("general", model, params, grid, n), grid, increments)

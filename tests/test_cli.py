@@ -2,13 +2,20 @@ import contextlib
 import io
 import json
 import math
+import re
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dpsde.experiments
 from dpsde import cli
 from dpsde.cli import main
+from dpsde.driver import _philox_key
+from dpsde.models import builtin_catalog
 
 
 def run_cli(capsys, *argv):
@@ -245,14 +252,28 @@ def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "simulate.csv").exists()
 
 
-def test_unknown_model_is_validation_failure(capsys, tmp_path):
-    code, _, err = run_cli(
-        capsys,
-        "simulate", "--model", "no-such", "--alpha", "0", "--beta", "0",
-        "--out", str(tmp_path / "x.csv"),
-    )
-    assert code == 2
-    assert "no-such" in err
+def test_unknown_model_is_validation_failure(capsys, tmp_path, monkeypatch):
+    # a named DPSDEError, printed without KeyError's quotes around the message
+    import dpsde.cli
+    import dpsde.experiments
+
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an unknown model")
+
+    monkeypatch.setattr(dpsde.cli, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("model = no-such\n")
+    for argv in (
+        ["simulate", "--model", "no-such", "--alpha", "0", "--beta", "0", "--out", str(tmp_path / "x.csv")],
+        ["converge", "--model", "no-such", "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json")],
+        ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("dpsde: error: UnknownModel: unknown model 'no-such'; known models: ")
+        assert len(err.splitlines()) == 1 and out == ""
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_misaligned_delay_fails_cleanly(capsys, tmp_path):
@@ -594,3 +615,74 @@ def test_negative_exponent_value_and_help():
         0, "rho=-0.0 verdict=accept beyond_mao=True\n", "")
     code, out, err = run_main(["validate", "--help"])
     assert code == 0 and out.startswith("usage: dpsde validate") and err == ""
+
+
+@pytest.mark.parametrize("alpha,beta,line", [
+    ("-inf", "-1", "verdict=reject reason=AlphaOutOfRange: alpha must be finite and < 1, got -inf\n"),
+    ("0", "-inf", "verdict=reject reason=BetaOutOfRange: beta must be finite and < 1, got -inf\n"),
+    ("0.5", "0.5", "verdict=reject reason=RhoTooLarge: rho=1.0: need |alpha*beta| < (1-alpha)(1-beta)\n"),
+], ids=["alpha-inf", "beta-inf", "rho-one"])
+def test_validate_reject_shows_rho_only_in_a_rho_reason(alpha, beta, line):
+    # rho is shown only inside a RhoTooLarge reason; a non-finite input has none
+    assert run_main(["validate", "--alpha", alpha, "--beta", beta]) == (2, line, "")
+
+
+_WORDS = st.text(alphabet=string.ascii_letters, max_size=8)
+_NOT_A_NUMBER = _WORDS.filter(lambda t: t.lower() not in ("", "nan", "inf", "infinity"))
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+
+
+def _floats_in(**bounds):
+    return st.floats(allow_nan=False, **bounds).map(repr)
+
+
+def _list_with(bad):
+    return bad.map(lambda v: f"8,{v}")
+
+
+# values that every subcommand taking the option rejects, all other options at their defaults
+# (alpha=0.6, beta=-1, x0=0, T=1, L=4096, n=8, n_list 8..64, scheme new)
+_BAD_VALUES = {
+    "model": _WORDS.filter(lambda t: t not in {m.id for m in builtin_catalog()}),
+    "alpha": _floats_in(min_value=0.7) | _NON_FINITE | _NOT_A_NUMBER,  # rho >= 1 at beta=-1 from 2/3 on
+    "beta": _floats_in(min_value=0.5) | _NON_FINITE | _NOT_A_NUMBER,  # rho >= 1 at alpha=0.6 from 0.4 on
+    "x0": _floats_in().filter(lambda v: float(v) != 0.0) | _NON_FINITE | _NOT_A_NUMBER,  # scheme new needs x0=0
+    "horizon": _floats_in(max_value=0.0) | _NON_FINITE | _NOT_A_NUMBER,
+    "grid_steps": st.integers(max_value=0).map(str) | _NOT_A_NUMBER,
+    "n": st.integers(max_value=0).map(str) | st.integers(min_value=4097).map(str) | st.just("3") | _NOT_A_NUMBER,
+    "n_list": st.just("") | st.just(",") | _list_with(st.integers(max_value=0) | st.integers(min_value=513))
+              | st.lists(st.integers(1, 64), min_size=1).map(lambda ns: ",".join(map(str, ns + ns[:1])))
+              | _list_with(_NOT_A_NUMBER),
+    "p_list": st.just("") | _list_with(_floats_in(max_value=0.999) | _NON_FINITE | _NOT_A_NUMBER),
+    "paths": st.integers(max_value=0).map(str) | _NOT_A_NUMBER,
+    "seed": st.integers(max_value=-1).map(str) | st.integers(min_value=2**64).map(str) | _NOT_A_NUMBER,
+    "scheme": _WORDS.filter(lambda t: t not in ("new", "old", "general", "reference")),
+    "path_index": st.integers(max_value=-1).map(str) | st.integers(min_value=2**64).map(str) | _NOT_A_NUMBER,
+    "workers": st.integers(max_value=0).map(str) | _NOT_A_NUMBER,
+    "format": _WORDS.filter(lambda t: t not in ("csv", "json")),
+}
+_CHECKED = [(command, name) for command in ("simulate", "converge", "compare") for name in cli._COMMANDS[command][1]]
+
+
+def _no_increments(master_seed, path_index, grid):
+    _philox_key(master_seed, path_index)  # generate_increments checks the key before it draws
+    raise AssertionError("increments drawn for a bad option value")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_CHECKED), st.sampled_from(["flag", "config"]), st.data())
+def test_every_bad_option_value_exits_2_with_one_error_line_before_work(checked, source, data):
+    # validate is left out: it reports a rejected value as its verdict on stdout
+    command, name = checked
+    value = data.draw(_BAD_VALUES[name], label=name)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "generate_increments", _no_increments)
+        mp.setattr(dpsde.experiments, "generate_increments", _no_increments)
+        cfg = Path(tmp) / "c.cfg"
+        cfg.write_text(f"{name} = {value}\n" if source == "config" else "")
+        flag = ["--" + name.replace("_", "-"), value] if source == "flag" else []
+        outs = ["--out", f"{tmp}/o"] if command == "simulate" else ["--out-csv", f"{tmp}/o", "--out-json", f"{tmp}/j"]
+        code, out, err = run_main([command, "--config", str(cfg), *flag, *outs])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"dpsde: error: [A-Za-z]+: [^\n]*\n", err), err
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["c.cfg"]

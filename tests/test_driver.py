@@ -8,6 +8,7 @@ from dpsde.driver import (
     generate_increments,
     lag_map,
     make_grid,
+    single_path,
 )
 from dpsde.errors import DelayNotAligned, DelayTooFine, InvalidGrid, InvalidIncrements, SeedOutOfRange
 from dpsde.models import get_model
@@ -19,7 +20,6 @@ from dpsde.scheme import (
     simulate_general_x0_batch,
     simulate_new,
     simulate_new_batch,
-    simulate_old,
     simulate_old_batch,
 )
 
@@ -137,14 +137,14 @@ def test_coarsen_rejects_non_divisor():
 # every solver entry on one path's 1-D increments (m, p, g, dw: model, params, grid, increments)
 _SOLVER_ENTRIES = {
     "simulate_new": lambda m, p, g, dw: simulate_new(m, p, g, 8, dw),
-    "simulate_old": lambda m, p, g, dw: simulate_old(m, p, g, 8, dw),
+    "single_path_old": lambda m, p, g, dw: single_path(scheme_blocks("old", m, p, g, 8), g, dw),
     "simulate_general_x0": lambda m, p, g, dw: simulate_general_x0(m, p, g, 8, dw),
     "simulate_new_batch": lambda m, p, g, dw: simulate_new_batch(m, p, g, 8, [dw, dw]),
     "simulate_old_batch": lambda m, p, g, dw: simulate_old_batch(m, p, g, 8, [dw, dw]),
     "simulate_general_x0_batch": lambda m, p, g, dw: simulate_general_x0_batch(m, p, g, 8, [dw, dw]),
-    "scheme_blocks": lambda m, p, g, dw: next(scheme_blocks("new", m, p, g, 8, dw[:, None])),
-    "reference_steps": lambda m, p, g, dw: next(reference_steps(m, p, g, dw[:, None])),
-    "solve_reference": lambda m, p, g, dw: solve_reference(m, p, g, dw),  # the B=1 float loop
+    "scheme_blocks": lambda m, p, g, dw: next(scheme_blocks("new", m, p, g, 8)(dw[:, None])),
+    "reference_steps": lambda m, p, g, dw: next(reference_steps(m, p, g)(dw[:, None])),  # the B=1 float loop
+    "solve_reference": lambda m, p, g, dw: solve_reference(m, p, g, dw),
     "solve_reference_batch": lambda m, p, g, dw: solve_reference_batch(m, p, g, [dw, dw]),
 }
 
@@ -165,4 +165,4 @@ def test_increments_of_the_wrong_rank_raise_invalid_increments():
     with pytest.raises(InvalidIncrements):
         simulate_new_batch(model, params, grid, 8, np.zeros((1, 1, 256)))
     with pytest.raises(InvalidIncrements):
-        next(scheme_blocks("new", model, params, grid, 8, np.zeros(256)))
+        next(scheme_blocks("new", model, params, grid, 8)(np.zeros(256)))

@@ -360,31 +360,70 @@ def test_non_finite_gap_names_first_bad_path(monkeypatch):
 
 
 def test_one_delay_runs_only_that_delay(monkeypatch):
-    # a one-n spec runs one reference solve and one scheme
-    # run per chunk (300 paths: two chunks), not every n of the study, and
-    # give the full study's gaps bit for bit
-    spec = small_spec(paths=300)
-    full = dpsde.experiments._per_path_sup(spec, (spec.scheme,), True)
+    # a study builds the reference and one scheme stream per (kind, n) once,
+    # before the first increments are drawn, and runs each stream once per
+    # chunk (300 paths: two chunks); a one-n spec builds and runs only that
+    # delay, and gives the full study's gaps bit for bit
     calls = []
 
-    def counting(real, label):
-        def wrapper(*args):
-            calls.append((label, args[4] if label == "scheme" else None))
-            return real(*args)
+    def counting(build, key):
+        def counted_build(*args):
+            calls.append(("build", *key(*args)))
+            stream = build(*args)
 
-        return wrapper
+            def counted_run(dw):
+                calls.append(("run", *key(*args)))
+                return stream(dw)
 
-    monkeypatch.setattr(dpsde.experiments, "scheme_blocks", counting(dpsde.experiments.scheme_blocks, "scheme"))
-    monkeypatch.setattr(dpsde.experiments, "reference_steps", counting(dpsde.experiments.reference_steps, "ref"))
+            return counted_run
+
+        return counted_build
+
+    def counted_increments(master_seed, path_index, grid):
+        calls.append(("increments", path_index))
+        return generate_increments(master_seed, path_index, grid)
+
+    monkeypatch.setattr(dpsde.experiments, "scheme_blocks",
+                        counting(dpsde.experiments.scheme_blocks, lambda kind, model, params, grid, n: (kind, n)))
+    monkeypatch.setattr(dpsde.experiments, "reference_steps",
+                        counting(dpsde.experiments.reference_steps, lambda *args: ("reference",)))
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", counted_increments)
+
+    def expected(keys):
+        runs = [("run", *key) for key in keys]
+        first, second = ([("increments", i) for i in span] for span in (range(256), range(256, 300)))
+        return [("build", *key) for key in keys] + first + runs + second + runs
+
+    spec = small_spec(paths=300)
+    full = dpsde.experiments._per_path_sup(spec, (spec.scheme,), True)
+    assert calls == expected([("reference",)] + [("new", n) for n in spec.n_list])
+    calls.clear()
+    compare_schemes(spec)
+    assert calls == expected([("reference",)] + [(kind, n) for kind in ("new", "old") for n in spec.n_list])
     for n in spec.n_list:
         calls.clear()
         got = one_delay_gaps(spec, n)
-        assert calls == [("ref", None), ("scheme", n)] * 2
+        assert calls == expected([("reference",), ("new", n)])
         assert np.array_equal(got.view(np.int64), full[(spec.scheme, n)].view(np.int64))
         calls.clear()
         (e,) = run_convergence(small_spec(paths=300, n_list=(n,))).errors
-        assert calls == [("ref", None), ("scheme", n)] * 2
+        assert calls == expected([("reference",), ("new", n)])
         assert np.float64(e.estimate).view(np.int64) == np.mean(full[(spec.scheme, n)] ** 2.0).view(np.int64)
+
+
+def test_one_path_last_chunk_gives_the_vector_step_bits():
+    # 257 paths leave a last chunk of one path, whose reference takes the
+    # Python-float loop; its gap must be the one from the vector step,
+    # run at B=2 on a duplicated column
+    spec = small_spec(model_id="bounded-trig", params=validate(-2.0, 0.5, 0.0, 1.0), paths=257)
+    gaps = dpsde.experiments._per_path_sup(spec, ("new",), True)
+    model = get_model(spec.model_id)
+    dw = generate_increments(spec.master_seed, 256, spec.grid)
+    ref = solve_reference_batch(model, spec.params, spec.grid, [dw, dw])[3][0]
+    for n in spec.n_list:
+        x = simulate_new_batch(model, spec.params, spec.grid, n, [dw])[3][0]
+        want = np.max(np.abs(x - ref))
+        assert np.float64(gaps[("new", n)][256]).view(np.int64) == want.view(np.int64), n
 
 
 @pytest.mark.parametrize("study", [run_convergence, compare_schemes, moment_scan])

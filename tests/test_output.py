@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 
 from _oracles import path_csv_text, path_json_text
 from dpsde import validate
-from dpsde.driver import generate_increments, make_grid
+from dpsde.driver import generate_increments, make_grid, single_path
 from dpsde.experiments import StudySpec, compare_schemes, run_convergence
 from dpsde.models import get_model
 from dpsde.output import _column_reprs, write_path_csv, write_path_json, write_report_csv, write_report_json
 from dpsde.reference import solve_reference
-from dpsde.scheme import simulate_general_x0, simulate_new, simulate_old
+from dpsde.scheme import scheme_blocks, simulate_general_x0, simulate_new
 
 
 def _tiny_spec():
@@ -109,7 +109,7 @@ def _export_path(kind):
         return simulate_general_x0(model, validate(0.6, -1.0, 0.5, 1.0), grid, 8, dw)
     if kind == "reference":
         return solve_reference(model, validate(0.6, -1.0, 0.5, 1.0), grid, dw)
-    return simulate_old(get_model("gbm"), validate(0.3, -0.5, 1.0, 1.0), grid, 16, dw)
+    return single_path(scheme_blocks("old", get_model("gbm"), validate(0.3, -0.5, 1.0, 1.0), grid, 16), grid, dw)
 
 
 def _awkward_path():

@@ -210,9 +210,14 @@ def test_fused_step_matches_implicit_step_oracle_bitwise():
 
 
 def vector_steps(model, params, grid, dw):
-    """reference_steps on time-major (L, B) increments, collected (L+1, B)."""
-    rows = [tuple(r[0].copy() for r in step[2:]) for step in reference_steps(model, params, grid, dw)]
-    return tuple(np.array(column) for column in zip(*rows))
+    """The vector step on one path's (L, 1) increments, collected (L+1, 1).
+
+    It runs at B=2 on a duplicated column, since a one-path run takes the
+    Python-float loop; the first column is returned.
+    """
+    two = np.hstack([dw, dw])
+    rows = [tuple(r[:, :1].copy() for r in step[2:]) for step in reference_steps(model, params, grid)(two)]
+    return tuple(np.concatenate(column) for column in zip(*rows))
 
 
 def same_bits(a, b):
@@ -222,7 +227,7 @@ def same_bits(a, b):
 
 
 def test_single_path_loop_matches_vector_step_and_oracle_bitwise():
-    # one path goes through the Python-float loop; the vector step at B=1
+    # one path goes through the Python-float loop; the vector step (at B=2)
     # and the implicit_step oracle must give the same bits, signed zeros
     # included (zero increments leave ties at +-0.0)
     rng = np.random.default_rng(59)

@@ -11,16 +11,16 @@ from _oracles import (
     step_old_kernel,
 )
 from dpsde import beyond_mao, builtin_catalog, validate
-from dpsde.driver import brownian_values, generate_increments, lag_map, make_grid
+from dpsde.driver import brownian_values, generate_increments, lag_map, make_grid, single_path
 from dpsde.errors import DelayNotAligned, DPSDEError
 from dpsde.models import CoefficientModel, Lipschitz, get_model
 from dpsde.reference import MaxSide, exact_singly_perturbed
 from dpsde.scheme import (
+    scheme_blocks,
     simulate_general_x0,
     simulate_general_x0_batch,
     simulate_new,
     simulate_new_batch,
-    simulate_old,
     simulate_old_batch,
 )
 
@@ -171,7 +171,7 @@ def test_old_equals_new_without_perturbation():
     p = validate(0.0, 0.0, 0.0, 1.0)
     dw = generate_increments(31, 2, grid)
     a = simulate_new(get_model("affine"), p, grid, 16, dw)
-    b = simulate_old(get_model("affine"), p, grid, 16, dw)
+    b = single_path(scheme_blocks("old", get_model("affine"), p, grid, 16), grid, dw)
     assert np.array_equal(a.x, b.x)
 
 
@@ -180,7 +180,7 @@ def test_old_scheme_delay_window_values():
     # the value is a_w with a_0 = 1, a_{w+1} = 1 + 0.5 * a_w (all exact floats)
     grid = make_grid(16, 1.0)
     p = validate(0.5, 0.0, 1.0, 1.0)
-    path = simulate_old(const_model(0.0, 0.0), p, grid, 4, np.zeros(16))
+    path = single_path(scheme_blocks("old", const_model(0.0, 0.0), p, grid, 4), grid, np.zeros(16))
     m = 4
     a = [1.0, 1.5, 1.75, 1.875, 1.9375]
     assert path.x[0] == 1.0
@@ -195,14 +195,14 @@ def test_old_scheme_matches_scalar_recursion():
     for _ in range(20):
         p = random_valid_params(rng, x0=float(rng.normal()))
         dw = rng.normal(0.0, np.sqrt(grid.step_size), size=32)
-        path = simulate_old(get_model("affine"), p, grid, 8, dw)
+        path = single_path(scheme_blocks("old", get_model("affine"), p, grid, 8), grid, dw)
         assert np.array_equal(path.x, brute_old_scheme(get_model("affine"), p, grid, 4, dw))
 
 
 def test_old_pure_drift_is_shifted_time():
     grid = make_grid(64, 1.0)
     p = validate(0.0, 0.0, 2.0, 1.0)
-    path = simulate_old(const_model(1.0, 0.0), p, grid, 8, np.zeros(64))
+    path = single_path(scheme_blocks("old", const_model(1.0, 0.0), p, grid, 8), grid, np.zeros(64))
     assert np.allclose(path.x, 2.0 + grid.times(), rtol=0.0, atol=1e-12)
 
 
