@@ -37,7 +37,6 @@ from .errors import (
 from .experiments import (
     ConvergenceReport,
     ErrorEstimate,
-    MomentEstimate,
     RateFit,
     SchemeComparison,
     StudySpec,

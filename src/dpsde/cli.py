@@ -13,9 +13,10 @@ One table, ``_OPTIONS``, gives every option its parser, default and help;
 ``key = value`` lines (``#`` starts a comment): a key must name one of the
 subcommand's own options, and explicit flags override the file.  argparse
 only collects the raw strings; flag and config values go through the same
-parser, so a bad value fails the same way from either.  The output paths
-(``--out``, ``--out-csv``, ``--out-json``) are flags only; their default
-directory is $DPSDE_OUTPUT_DIR (falling back to the working directory).
+parser, so a bad value (or an empty list entry) fails the same way from
+either, with InvalidOption.  The output paths (``--out``, ``--out-csv``,
+``--out-json``) are flags only; their default directory is $DPSDE_OUTPUT_DIR
+(else the working directory), and it must exist before any work starts.
 Exit codes: 0 ok, 1 runtime/I-O failure, 2 validation failure; failures
 print a single machine-parsable line on stderr.
 """
@@ -32,7 +33,7 @@ from pathlib import Path
 from . import checks as checks_mod
 from . import params as params_mod
 from .driver import generate_increments, lag_map, make_grid, single_path
-from .errors import DPSDEError, UnknownFormat, UnknownScheme
+from .errors import DPSDEError, InvalidOption, UnknownFormat, UnknownScheme
 from .experiments import ConvergenceReport, compare_schemes, default_study, run_convergence
 from .models import get_model
 from .output import write_path_csv, write_path_json, write_report_csv, write_report_json
@@ -43,11 +44,11 @@ __all__ = ["main"]
 
 
 def _ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    return tuple(map(int, raw.split(",")))
 
 
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    return tuple(map(float, raw.split(",")))
 
 
 # option names that default_study spells differently
@@ -121,7 +122,7 @@ def _parse(name: str, raw: str, source: str):
     try:
         return _OPTIONS[name][0](raw)
     except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+        raise InvalidOption(f"{source}: {exc}") from None
 
 
 def _parse_config_file(path: str, names: tuple[str, ...]) -> dict:
@@ -131,11 +132,11 @@ def _parse_config_file(path: str, names: tuple[str, ...]) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line is not 'key = value': {raw!r}")
+            raise InvalidOption(f"config line is not 'key = value': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         name = key.replace("-", "_")
         if name not in names:
-            raise ValueError(f"unknown config key {key!r} in {path}; this subcommand's keys: {', '.join(names)}")
+            raise InvalidOption(f"unknown config key {key!r} in {path}; this subcommand's keys: {', '.join(names)}")
         values[name] = _parse(name, value, f"config key {key!r} in {path}")
     return values
 
@@ -151,8 +152,12 @@ def _settings(args: argparse.Namespace) -> argparse.Namespace:
     return argparse.Namespace(**values)
 
 
-def _out_dir() -> Path:
-    return Path(os.environ.get("DPSDE_OUTPUT_DIR", "."))
+def _out_path(given: str | None, default_name: str) -> Path:
+    """The output path, checked before any work: its directory must exist."""
+    out = Path(given) if given else Path(os.environ.get("DPSDE_OUTPUT_DIR", ".")) / default_name
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"output directory does not exist: {out.parent}")
+    return out
 
 
 def _cmd_validate(s) -> int:
@@ -182,8 +187,8 @@ def _cmd_simulate(s) -> int:
         blocks = scheme_blocks(s.scheme, model, params, grid, s.n)
     else:
         raise UnknownScheme(f"scheme must be one of {', '.join(SCHEME_KINDS)}, reference, got {s.scheme!r}")
+    out = _out_path(s.out, f"simulate.{s.format}")
     path = single_path(blocks, grid, generate_increments(s.seed, s.path_index, grid))
-    out = Path(s.out) if s.out else _out_dir() / f"simulate.{s.format}"
     _PATH_WRITERS[s.format](path, out)
     print(f"wrote {out}")
     return 0
@@ -195,9 +200,9 @@ _STUDIES = {"converge": run_convergence, "compare": compare_schemes}
 def _cmd_study(s) -> int:
     study = {_STUDY_ARGS.get(name, name): value for name, value in vars(s).items()}
     spec = default_study(**{name: value for name, value in study.items() if name in _STOCK})
+    out_csv = _out_path(s.out_csv, f"{s.command}.csv")
+    out_json = _out_path(s.out_json, f"{s.command}.json")
     result = _STUDIES[s.command](spec, workers=s.workers)
-    out_csv = Path(s.out_csv) if s.out_csv else _out_dir() / f"{s.command}.csv"
-    out_json = Path(s.out_json) if s.out_json else _out_dir() / f"{s.command}.json"
     write_report_csv(result, out_csv)
     write_report_json(result, out_json)
     if isinstance(result, ConvergenceReport):

@@ -73,8 +73,12 @@ class UnknownScheme(DPSDEError, ValueError):
     """A scheme name that the caller does not run."""
 
 
+class InvalidOption(DPSDEError, ValueError):
+    """A command-line flag or config-file value or line that does not parse."""
+
+
 class InvalidStudy(DPSDEError, ValueError):
-    """A study with no n, a repeated n, a p that is not a finite value >= 1, or no paths."""
+    """A study with no n, a repeated n or p, a p that is not a finite value >= 1, or no paths."""
 
 
 class SeedOutOfRange(DPSDEError, ValueError):

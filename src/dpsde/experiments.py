@@ -4,9 +4,10 @@ A study couples every approximation to the limit-equation solver through
 common random numbers: per path the same Brownian increments drive the
 scheme at each delay parameter n and the reference solver, so the per-path
 statistic sup_k |X^n_k - X_k| isolates scheme error from sampling noise.
-Estimates of E[sup_k |X^n_k - X_k|^p] come with Monte Carlo standard
-errors, and the empirical decay exponent is an ordinary least squares fit
-of log2(estimate) against log2(n).
+Every study reduces to one table: the mean of stat**p with its Monte Carlo
+standard error per (n, p), p-major, where stat is that sup gap for the
+strong error and sup_k |X^n_k| for the moment scan.  The empirical decay
+exponent is an ordinary least squares fit of log2(estimate) against log2(n).
 
 Determinism: each path's increments are a pure function of
 (master_seed, path_index), chunk boundaries are fixed by the path count
@@ -55,7 +56,6 @@ __all__ = [
     "ErrorEstimate",
     "RateFit",
     "ConvergenceReport",
-    "MomentEstimate",
     "SchemeComparison",
     "rate_fit",
     "run_convergence",
@@ -83,10 +83,11 @@ class StudySpec:
     def __post_init__(self) -> None:
         get_model(self.model_id)
         check_scheme(self.scheme, self.params)
-        if not self.n_list or len(set(self.n_list)) != len(self.n_list):
-            raise InvalidStudy(f"n_list must be non-empty without repeats, got {self.n_list}")
-        if not self.p_list or not all(math.isfinite(p) and p >= 1.0 for p in self.p_list):
-            raise InvalidStudy(f"p_list must be non-empty, every p finite and >= 1, got {self.p_list}")
+        for name, values in (("n_list", self.n_list), ("p_list", self.p_list)):  # each p has its own fit
+            if not values or len(set(values)) != len(values):
+                raise InvalidStudy(f"{name} must be non-empty without repeats, got {values}")
+        if not all(math.isfinite(p) and p >= 1.0 for p in self.p_list):
+            raise InvalidStudy(f"every p must be finite and >= 1, got {self.p_list}")
         if self.paths < 1:
             raise InvalidStudy(f"paths must be >= 1, got {self.paths}")
         check_key_word("master_seed", self.master_seed)
@@ -163,13 +164,6 @@ class ConvergenceReport:
 
 
 @dataclass(frozen=True)
-class MomentEstimate:
-    n: int
-    p: float
-    estimate: float
-
-
-@dataclass(frozen=True)
 class SchemeComparison:
     """New and old schemes measured against the same reference paths."""
 
@@ -243,12 +237,6 @@ def _per_path_sup(
     return out
 
 
-def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    est = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return est, se
-
-
 def rate_fit(errors) -> tuple[float, float]:
     """OLS slope and intercept of log2(estimate) against log2(n).
 
@@ -270,18 +258,25 @@ def rate_fit(errors) -> tuple[float, float]:
     return slope, float(y.mean() - slope * xm)
 
 
+def _table(spec: StudySpec, kind: str, stats: dict) -> tuple[ErrorEstimate, ...]:
+    """Mean and standard error of stat**p per (n, p), p-major, from the per-path stats keyed by (kind, n)."""
+    rows = []
+    for p in spec.p_list:
+        for n in spec.n_list:
+            values = stats[(kind, n)] ** p
+            est = float(np.mean(values))
+            se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+            rows.append(ErrorEstimate(n=n, p=p, estimate=est, std_err=se))
+    return tuple(rows)
+
+
 def _report_for(spec: StudySpec, kind: str, gaps: dict) -> ConvergenceReport:
-    errors = []
+    errors = _table(spec, kind, gaps)
     fits = []
     skipped = []
     for p in spec.p_list:
-        per_n = []
-        for n in spec.n_list:
-            est, se = _mean_and_se(gaps[(kind, n)] ** p)
-            errors.append(ErrorEstimate(n=n, p=p, estimate=est, std_err=se))
-            per_n.append((n, est))
         try:
-            slope, intercept = rate_fit(per_n)
+            slope, intercept = rate_fit([(e.n, e.estimate) for e in errors if e.p == p])
         except DegenerateFit as exc:
             skipped.append((p, str(exc)))
             continue
@@ -296,7 +291,7 @@ def _report_for(spec: StudySpec, kind: str, gaps: dict) -> ConvergenceReport:
         grid_steps=spec.grid.steps,
         paths=spec.paths,
         master_seed=spec.master_seed,
-        errors=tuple(errors),
+        errors=errors,
         fits=tuple(fits),
         skipped_fits=tuple(skipped),
     )
@@ -308,15 +303,9 @@ def run_convergence(spec: StudySpec, workers: int = 1) -> ConvergenceReport:
     return _report_for(spec, spec.scheme, gaps)
 
 
-def moment_scan(spec: StudySpec, workers: int = 1) -> tuple[MomentEstimate, ...]:
-    """Estimates of E[sup_k |X^n_k|^p] per (n, p), for boundedness checks."""
-    sups = _per_path_sup(spec, (spec.scheme,), False, workers)
-    rows = []
-    for n in spec.n_list:
-        for p in spec.p_list:
-            est, _ = _mean_and_se(sups[(spec.scheme, n)] ** p)
-            rows.append(MomentEstimate(n=n, p=p, estimate=est))
-    return tuple(rows)
+def moment_scan(spec: StudySpec, workers: int = 1) -> tuple[ErrorEstimate, ...]:
+    """Estimates of E[sup_k |X^n_k|^p] with standard errors, p-major, for boundedness checks."""
+    return _table(spec, spec.scheme, _per_path_sup(spec, (spec.scheme,), False, workers))
 
 
 def compare_schemes(spec: StudySpec, workers: int = 1) -> SchemeComparison:

@@ -45,7 +45,6 @@ __all__ = [
     "CoefficientModel",
     "builtin_catalog",
     "get_model",
-    "affine_model",
 ]
 
 _INV_E = math.exp(-1.0)
@@ -115,22 +114,6 @@ def _log_lipschitz_sigma(epsilon: float) -> Coefficient:
     return sigma
 
 
-def affine_model(a0: float = 1.0, a1: float = -0.5, s0: float = 0.5, s1: float = 0.2) -> CoefficientModel:
-    """b = a0 + a1*x, sigma = s0 + s1*x with the tight Lipschitz constant.
-
-    The catalog defaults mean-revert with mild state-dependent noise so
-    that sup-moments concentrate and stock Monte Carlo studies resolve
-    their decay above sampling noise.
-    """
-    K = max(abs(a1) + abs(s1), abs(a0) + abs(s0))
-    return CoefficientModel(
-        id="affine",
-        drift=lambda t, x: a0 + a1 * x,
-        diffusion=lambda t, x: s0 + s1 * x,
-        regularity=Lipschitz(K),
-    )
-
-
 def builtin_catalog() -> list[CoefficientModel]:
     """The built-in coefficient models, addressable by id."""
     return [
@@ -146,7 +129,14 @@ def builtin_catalog() -> list[CoefficientModel]:
             diffusion=lambda t, x: 0.0 * x,
             regularity=Lipschitz(1.0),
         ),
-        affine_model(),
+        # mean-reverting with mild state-dependent noise, so that sup-moments concentrate and
+        # stock studies resolve their decay above sampling noise; K = max(0.5+0.2, 1.0+0.5) is tight
+        CoefficientModel(
+            id="affine",
+            drift=lambda t, x: 1.0 + -0.5 * x,
+            diffusion=lambda t, x: 0.5 + 0.2 * x,
+            regularity=Lipschitz(1.5),
+        ),
         CoefficientModel(
             id="gbm",  # geometric Brownian motion, mu = 0.05, sigma_bar = 0.2
             drift=lambda t, x: 0.05 * x,

@@ -296,6 +296,30 @@ def test_unwritable_output_is_runtime_failure(capsys, tmp_path):
     assert err.startswith("dpsde: error:")
 
 
+@pytest.mark.parametrize("command,outs", [
+    (["converge"], ["--out-csv", "{missing}/x.csv", "--out-json", "{tmp}/x.json"]),
+    (["converge"], ["--out-csv", "{tmp}/x.csv", "--out-json", "{missing}/x.json"]),
+    (["compare"], ["--out-csv", "{tmp}/x.csv", "--out-json", "{missing}/x.json"]),
+    (["compare"], []),
+    (["simulate", "--scheme", "reference"], ["--out", "{missing}/x.csv"]),
+    (["simulate"], []),
+], ids=["converge-csv", "converge-json", "compare-json", "compare-env", "simulate-out", "simulate-env"])
+def test_missing_output_directory_exits_1_before_work(capsys, tmp_path, monkeypatch, command, outs):
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an output that cannot be written")
+
+    monkeypatch.setattr(cli, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    monkeypatch.setenv("DPSDE_OUTPUT_DIR", str(tmp_path / "missing"))
+    study = [] if command[0] == "simulate" else ["--n-list", "8,16,32", "--paths", "5"]
+    outs = [arg.format(tmp=tmp_path, missing=tmp_path / "missing") for arg in outs]
+    code, out, err = run_cli(capsys, *command, "--grid-steps", "256", *study, *outs)
+    assert code == 1 and out == ""
+    assert err.startswith("dpsde: error: FileNotFoundError: output directory does not exist:")
+    assert len(err.splitlines()) == 1 and str(tmp_path / "missing") in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_check_subcommand_passes(capsys):
     code, out, _ = run_cli(capsys, "check")
     assert code == 0
@@ -449,7 +473,7 @@ def test_config_value_goes_through_the_flag_parser_before_work(capsys, tmp_path,
         "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"),
     )
     assert code == 2
-    assert err.startswith("dpsde: error: ValueError: config key 'alpha'") and "'abc'" in err
+    assert err.startswith("dpsde: error: InvalidOption: config key 'alpha'") and "'abc'" in err
     assert len(err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == [cfg]
 
@@ -494,7 +518,7 @@ def test_flags_and_config_file_give_identical_outputs(capsys, tmp_path, command,
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("name,value", [("alpha", "abc"), ("n-list", "8,x")])
+@pytest.mark.parametrize("name,value", [("alpha", "abc"), ("n-list", "8,x"), ("n-list", ",")])
 def test_bad_option_value_prints_one_error_line(capsys, tmp_path, monkeypatch, source, name, value):
     import dpsde.experiments
 
@@ -512,13 +536,13 @@ def test_bad_option_value_prints_one_error_line(capsys, tmp_path, monkeypatch, s
     )
     where = f"flag --{name}" if source == "flag" else f"config key {name!r}"
     assert code == 2
-    assert err.startswith(f"dpsde: error: ValueError: {where}") and repr(value.split(",")[-1]) in err
+    assert err.startswith(f"dpsde: error: InvalidOption: {where}") and repr(value.split(",")[-1]) in err
     assert len(err.splitlines()) == 1 and out == ""
     assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("option,value", [
-    ("n-list", "8,8,16"), ("n-list", ","), ("p-list", "nan,inf"), ("p-list", "inf"), ("p-list", "0.5"), ("paths", "0"),
+    ("n-list", "8,8,16"), ("p-list", "2,2"), ("p-list", "nan,inf"), ("p-list", "inf"), ("p-list", "0.5"), ("paths", "0"),
 ])
 def test_invalid_study_exits_2_before_work(capsys, tmp_path, monkeypatch, option, value):
     import dpsde.experiments
@@ -650,10 +674,12 @@ _BAD_VALUES = {
     "horizon": _floats_in(max_value=0.0) | _NON_FINITE | _NOT_A_NUMBER,
     "grid_steps": st.integers(max_value=0).map(str) | _NOT_A_NUMBER,
     "n": st.integers(max_value=0).map(str) | st.integers(min_value=4097).map(str) | st.just("3") | _NOT_A_NUMBER,
-    "n_list": st.just("") | st.just(",") | _list_with(st.integers(max_value=0) | st.integers(min_value=513))
+    "n_list": st.sampled_from(["", ",", "8,,16,32", "8,16,32,"])
+              | _list_with(st.integers(max_value=0) | st.integers(min_value=513))
               | st.lists(st.integers(1, 64), min_size=1).map(lambda ns: ",".join(map(str, ns + ns[:1])))
               | _list_with(_NOT_A_NUMBER),
-    "p_list": st.just("") | _list_with(_floats_in(max_value=0.999) | _NON_FINITE | _NOT_A_NUMBER),
+    "p_list": st.sampled_from(["", "2,,4", "2,4,", "2,2"])
+              | _list_with(_floats_in(max_value=0.999) | _NON_FINITE | _NOT_A_NUMBER),
     "paths": st.integers(max_value=0).map(str) | _NOT_A_NUMBER,
     "seed": st.integers(max_value=-1).map(str) | st.integers(min_value=2**64).map(str) | _NOT_A_NUMBER,
     "scheme": _WORDS.filter(lambda t: t not in ("new", "old", "general", "reference")),

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -85,6 +86,7 @@ def test_spec_rejects_bad_p_and_paths():
     ("n_list", (8, 8, 16), InvalidStudy),
     ("p_list", (), InvalidStudy),
     ("p_list", (2.0, float("nan")), InvalidStudy),
+    ("p_list", (2.0, 4.0, 2.0), InvalidStudy),
     ("p_list", (float("inf"),), InvalidStudy),
     ("master_seed", -1, SeedOutOfRange),
     ("master_seed", 2**64, SeedOutOfRange),
@@ -312,6 +314,19 @@ def test_streaming_fold_matches_materialised_sups_bitwise():
                 for row in moment_scan(spec):
                     want = float(np.mean(sups**row.p))
                     assert np.float64(row.estimate).view(np.int64) == np.float64(want).view(np.int64)
+
+
+def test_moment_scan_rows_are_the_error_table_of_the_sups():
+    # p-major (n, p) rows whose estimate and std_err follow the error table's
+    # formula on sup_k |X^n_k|, bit for bit
+    spec = small_spec(model_id="bounded-trig", params=validate(-2.0, 0.5, 0.3, 1.0), n_list=(8, 16),
+                      p_list=(3.0, 2.0), paths=300, scheme="general")
+    rows = moment_scan(spec)
+    assert [(r.n, r.p) for r in rows] == [(8, 3.0), (16, 3.0), (8, 2.0), (16, 2.0)]
+    for row in rows:
+        values = materialised_sups(spec, row.n, False) ** row.p
+        want = (float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values))))
+        assert np.array_equal(np.array([row.estimate, row.std_err]).view(np.int64), np.array(want).view(np.int64))
 
 
 def test_stock_chunk_peak_memory_is_bounded():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import eval_modulus, verify_regularity
-from dpsde.models import Lipschitz, Modulus, Rho1, Rho2, affine_model, builtin_catalog, get_model
+from dpsde.models import CoefficientModel, Lipschitz, Modulus, Rho1, Rho2, builtin_catalog, get_model
 
 
 def test_rho1_is_identity():
@@ -114,10 +114,13 @@ def test_verify_regularity_constant_model():
 
 
 def test_verify_regularity_affine_analytic_constant():
-    # |a1| + |s1| = 3 is the exact Lipschitz constant of this pair
-    model = affine_model(1.0, 2.0, 0.0, 1.0)
-    assert isinstance(model.regularity, Lipschitz)
-    assert model.regularity.K == 3.0
+    # b = 1 + 2x, sigma = x: |2| + |1| = 3 is the exact Lipschitz constant of this pair
+    model = CoefficientModel(
+        id="affine-k3",
+        drift=lambda t, x: 1.0 + 2.0 * x,
+        diffusion=lambda t, x: 0.0 + 1.0 * x,
+        regularity=Lipschitz(3.0),
+    )
     report = verify_regularity(model, 1000, 7)
     assert report.max_violation <= 1e-12
 
