@@ -11,12 +11,15 @@ One table, ``_OPTIONS``, gives every option its parser, default and help;
 ``_COMMANDS`` names the options of each subcommand.  The study defaults are
 ``default_study``'s.  Options may also come from a config file of
 ``key = value`` lines (``#`` starts a comment): a key must name one of the
-subcommand's own options, and explicit flags override the file.  argparse
+subcommand's own options and appear once, and explicit flags override the
+file.  argparse
 only collects the raw strings; flag and config values go through the same
 parser, so a bad value (or an empty list entry) fails the same way from
 either, with InvalidOption.  The output paths (``--out``, ``--out-csv``,
 ``--out-json``) are flags only; their default directory is $DPSDE_OUTPUT_DIR
-(else the working directory), and it must exist before any work starts.
+(else the working directory), it must exist before any work starts, and a
+study's two outputs must be distinct files.  ``--workers`` defaults to the
+number of CPUs this process may run on.
 Exit codes: 0 ok, 1 runtime/I-O failure, 2 validation failure; failures
 print a single machine-parsable line on stderr.
 """
@@ -69,7 +72,7 @@ _OPTIONS = {
     "seed": (int, _STOCK["master_seed"], "master seed"),
     "scheme": (str, _STOCK["scheme"], "scheme variant: new, old or general; simulate also takes reference"),
     "path_index": (int, 0, "path substream index"),
-    "workers": (int, 1, "worker threads"),
+    "workers": (int, len(os.sched_getaffinity(0)), "worker processes"),
     "format": (str, "csv", "path output format, csv or json"),
 }
 
@@ -137,6 +140,8 @@ def _parse_config_file(path: str, names: tuple[str, ...]) -> dict:
         name = key.replace("-", "_")
         if name not in names:
             raise InvalidOption(f"unknown config key {key!r} in {path}; this subcommand's keys: {', '.join(names)}")
+        if name in values:
+            raise InvalidOption(f"config key {key!r} is set twice in {path}")
         values[name] = _parse(name, value, f"config key {key!r} in {path}")
     return values
 
@@ -202,6 +207,8 @@ def _cmd_study(s) -> int:
     spec = default_study(**{name: value for name, value in study.items() if name in _STOCK})
     out_csv = _out_path(s.out_csv, f"{s.command}.csv")
     out_json = _out_path(s.out_json, f"{s.command}.json")
+    if out_csv.resolve() == out_json.resolve():
+        raise InvalidOption(f"--out-csv and --out-json name the same file: {out_csv}")
     result = _STUDIES[s.command](spec, workers=s.workers)
     write_report_csv(result, out_csv)
     write_report_json(result, out_json)

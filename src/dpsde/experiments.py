@@ -13,8 +13,11 @@ Determinism: each path's increments are a pure function of
 (master_seed, path_index), chunk boundaries are fixed by the path count
 alone, and per-path statistics are assembled into arrays ordered by path
 index before any reduction (numpy's pairwise mean/std on a fixed array is
-reproducible).  Work may be spread over a thread pool; the worker count
-cannot change any output bit.
+reproducible).  Work may be spread over forked worker processes, each
+on a contiguous span of paths that may cut a chunk.  Every solver is
+column-independent, and a one-path piece takes the reference's float
+loop, bitwise equal to its vector step, so the worker count cannot change
+any output bit.
 
 Streaming fold.  A chunk of B paths writes its increments into one
 time-major (L, B) array and keeps the reference solution's X only, as an
@@ -38,7 +41,8 @@ scale.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +68,7 @@ __all__ = [
 ]
 
 _CHUNK = 256
+_MIN_SPAN = 64  # the fewest paths worth a worker process
 _MIN_STEPS_PER_DELAY = 8
 
 
@@ -184,7 +189,14 @@ def _per_path_sup(
     sup_k |X^n_k|.  Output arrays are ordered by path index.  Raises
     InvalidWorkerCount for workers < 1, and whatever building the solvers
     raises (NonZeroStart, UndefinedTimeZero, ...), before any increment is
-    drawn, and NonFinitePath if a statistic is not finite.
+    drawn or any process forked, and NonFinitePath if a statistic is not
+    finite: the first (kind, n) of the first chunk that holds one, at its
+    first bad path, whatever the worker count.
+
+    The paths split into w = min(workers, max(1, paths // _MIN_SPAN))
+    contiguous spans (see _in_spans).  A span runs its pieces of the chunk
+    grid in order and stops after the first piece that holds a non-finite
+    statistic, so every chunk up to the first bad one is complete.
     """
     if workers < 1:
         raise InvalidWorkerCount(f"workers must be >= 1, got {workers!r}")
@@ -193,48 +205,100 @@ def _per_path_sup(
     streams = {(kind, n): scheme_blocks(kind, model, spec.params, spec.grid, n) for kind in kinds for n in spec.n_list}
     M, L = spec.paths, spec.grid.steps
     out = {key: np.empty(M) for key in streams}
-    bounds = [(s, min(s + _CHUNK, M)) for s in range(0, M, _CHUNK)]
     widest = max(lag_map(spec.grid, n) for n in spec.n_list)
 
-    def work(span: tuple[int, int]) -> None:
-        s, e = span
-        B = e - s
-        dw = np.empty((L, B))
-        for j in range(B):
-            dw[:, j] = generate_increments(spec.master_seed, s + j, spec.grid)
-        ref = None
-        if against_reference:
-            ref = np.empty((L + 1, B))
-            for k0, k1, _, _, _, x in ref_steps(dw):
-                ref[k0:k1] = x
-        gap = np.empty((widest, B))
-        block_sup = np.empty(B)
-        for (kind, n), blocks in streams.items():
-            sup = out[(kind, n)][s:e]
-            sup[:] = 0.0  # every |.| is >= +0.0, so 0 is the fold's identity
-            for k0, k1, _, _, _, x in blocks(dw):
-                g = gap[: k1 - k0]
-                if against_reference:
-                    np.subtract(x, ref[k0:k1], out=g)
-                    np.abs(g, out=g)
-                else:
-                    np.abs(x, out=g)
-                np.maximum.reduce(g, axis=0, out=block_sup)
-                np.maximum(sup, block_sup, out=sup)
-            bad = np.flatnonzero(~np.isfinite(sup))
+    def span(s0: int, s1: int) -> None:
+        for c in range(s0 - s0 % _CHUNK, s1, _CHUNK):
+            s, e = max(c, s0), min(c + _CHUNK, s1)
+            B = e - s
+            dw = np.empty((L, B))
+            for j in range(B):
+                dw[:, j] = generate_increments(spec.master_seed, s + j, spec.grid)
+            ref = None
+            if against_reference:
+                ref = np.empty((L + 1, B))
+                for k0, k1, _, _, _, x in ref_steps(dw):
+                    ref[k0:k1] = x
+            gap = np.empty((widest, B))
+            block_sup = np.empty(B)
+            for (kind, n), blocks in streams.items():
+                sup = out[(kind, n)][s:e]
+                sup[:] = 0.0  # every |.| is >= +0.0, so 0 is the fold's identity
+                for k0, k1, _, _, _, x in blocks(dw):
+                    g = gap[: k1 - k0]
+                    if against_reference:
+                        np.subtract(x, ref[k0:k1], out=g)
+                        np.abs(g, out=g)
+                    else:
+                        np.abs(x, out=g)
+                    np.maximum.reduce(g, axis=0, out=block_sup)
+                    np.maximum(sup, block_sup, out=sup)
+            if not all(np.isfinite(a[s:e]).all() for a in out.values()):
+                return
+
+    w = min(workers, max(1, M // _MIN_SPAN))
+    _in_spans(span, out, [M * i // w for i in range(w + 1)])
+    for c in range(0, M, _CHUNK):
+        for (kind, n), sup in out.items():
+            bad = np.flatnonzero(~np.isfinite(sup[c : c + _CHUNK]))
             if bad.size:
                 what = "sup gap" if against_reference else "sup"
                 raise NonFinitePath(
-                    f"non-finite per-path {what} for scheme {kind!r}, n={n}: first at path index {s + bad[0]}"
+                    f"non-finite per-path {what} for scheme {kind!r}, n={n}: first at path index {c + bad[0]}"
                 )
-
-    if workers == 1:
-        for span in bounds:
-            work(span)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, bounds))
     return out
+
+
+def _in_spans(run, out: dict, edges: list[int]) -> None:
+    """run(s0, s1) on each span [edges[i], edges[i+1]), filling out[key][s0:s1].
+
+    This process runs the first span.  Each other span runs in one forked
+    child, which pickles its slice of every array in out, or the exception
+    it raised, back through a pipe and leaves through os._exit.  fork, not
+    spawn: a child starts with the built solvers and costs a few
+    milliseconds, and the study process runs no thread of its own.  Every
+    child is reaped before this returns or raises.
+    """
+    children = {}  # pid -> (read end of its pipe, its span)
+    try:
+        for s0, s1 in zip(edges[1:-1], edges[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                try:
+                    os.close(read)
+                    for other, _, _ in children.values():
+                        other.close()
+                    try:
+                        run(s0, s1)
+                        result = {key: a[s0:s1] for key, a in out.items()}
+                    except BaseException as exc:  # sent to the parent, which raises it
+                        result = exc
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(result, pipe)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children[pid] = (os.fdopen(read, "rb"), s0, s1)
+        run(edges[0], edges[1])
+        for pipe, s0, s1 in children.values():
+            try:
+                result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise ChildProcessError(f"the worker process for paths [{s0}, {s1}) sent no result") from exc
+            if isinstance(result, BaseException):
+                raise result
+            for key, a in out.items():
+                a[s0:s1] = result[key]
+    finally:
+        for pid, (pipe, _, _) in children.items():
+            pipe.close()  # a child still to send its result then fails to, and leaves
+            os.waitpid(pid, 0)
 
 
 def rate_fit(errors) -> tuple[float, float]:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import string
 import tempfile
@@ -115,23 +116,39 @@ def test_converge_tiny_study(capsys, tmp_path):
     assert "slope=" in out
 
 
-def test_converge_byte_identical_across_worker_counts(capsys, tmp_path):
+def test_converge_byte_identical_across_worker_counts(capsys, tmp_path, monkeypatch):
+    # 300 paths give spans of at least 100 paths, so --workers 2 and 3 fork
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
     args = [
         "converge", "--grid-steps", "256", "--n-list", "8,16,32", "--p-list", "2",
-        "--paths", "40",
+        "--paths", "300",
     ]
-    code, _, _ = run_cli(capsys, *args, "--workers", "1",
-                         "--out-csv", str(tmp_path / "a.csv"), "--out-json", str(tmp_path / "a.json"))
-    assert code == 0
-    code, _, _ = run_cli(capsys, *args, "--workers", "4",
-                         "--out-csv", str(tmp_path / "b.csv"), "--out-json", str(tmp_path / "b.json"))
-    assert code == 0
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    a = json.loads((tmp_path / "a.json").read_text())
-    b = json.loads((tmp_path / "b.json").read_text())
-    a["metadata"].pop("generated_at")
-    b["metadata"].pop("generated_at")
-    assert a == b
+    outputs = {}
+    for workers in ("1", "2", "3"):
+        out_csv, out_json = tmp_path / f"{workers}.csv", tmp_path / f"{workers}.json"
+        code, _, _ = run_cli(capsys, *args, "--workers", workers, "--out-csv", str(out_csv), "--out-json", str(out_json))
+        assert code == 0
+        with pytest.raises(ChildProcessError):  # every child is reaped
+            os.waitpid(-1, os.WNOHANG)
+        body = json.loads(out_json.read_text())
+        body["metadata"].pop("generated_at")
+        outputs[workers] = (out_csv.read_bytes(), body)
+    assert len(forks) == 3
+    assert outputs["1"] == outputs["2"] == outputs["3"]
+
+
+def test_workers_default_to_the_usable_cpus_and_name_processes(capsys):
+    assert cli._OPTIONS["workers"][1] == len(os.sched_getaffinity(0))
+    with pytest.raises(SystemExit):
+        main(["converge", "--help"])
+    assert re.search(r"--workers WORKERS\s+worker processes \(default \d+\)", capsys.readouterr().out)
 
 
 def test_config_file_and_flag_override(capsys, tmp_path):
@@ -170,6 +187,40 @@ def test_config_file_rejects_unknown_key(capsys, tmp_path):
     assert code == 2
     assert "'grid-step'" in err
     assert not out_json.exists()
+
+
+def test_config_file_rejects_a_key_set_twice(capsys, tmp_path):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("alpha = 0.5\nbeta = -1\nalpha = 0.1\n")
+    code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dpsde: error: InvalidOption: config key 'alpha' is set twice")
+    cfg.write_text("grid_steps = 256\nn-list = 8,16,32\nn_list = 8,16\n")  # one key, two spellings
+    code, _, err = run_cli(capsys, "converge", "--config", str(cfg), "--paths", "5",
+                           "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "config key 'n_list' is set twice" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["converge", "compare"])
+def test_study_rejects_one_file_for_both_outputs_before_work(capsys, tmp_path, monkeypatch, command):
+    def no_increments(*args):
+        raise AssertionError("increments drawn for clashing output paths")
+
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    (tmp_path / "sub").mkdir()
+    for out_csv, out_json in (("same.out", "same.out"), ("same.out", "sub/../same.out")):
+        code, out, err = run_cli(
+            capsys,
+            command, "--grid-steps", "256", "--n-list", "8,16,32", "--paths", "5",
+            "--out-csv", str(tmp_path / out_csv), "--out-json", str(tmp_path / out_json),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dpsde: error: InvalidOption: --out-csv and --out-json name the same file")
+        assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
 
 
 def test_converge_new_scheme_rejects_nonzero_x0_before_work(capsys, tmp_path, monkeypatch):

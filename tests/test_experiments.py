@@ -1,4 +1,6 @@
 import math
+import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -7,7 +9,7 @@ import pytest
 
 import dpsde.experiments
 from _oracles import exact_gbm, random_valid_params
-from dpsde import beyond_mao, validate
+from dpsde import beyond_mao, cli, validate
 from dpsde.driver import generate_increments, make_grid
 from dpsde.errors import (
     DegenerateFit,
@@ -31,7 +33,7 @@ from dpsde.experiments import (
 )
 from dpsde.models import CoefficientModel, Lipschitz, get_model
 from dpsde.reference import solve_reference_batch
-from dpsde.scheme import simulate_general_x0_batch, simulate_new_batch, simulate_old_batch
+from dpsde.scheme import scheme_blocks, simulate_general_x0_batch, simulate_new_batch, simulate_old_batch
 
 
 def small_spec(**kw):
@@ -101,12 +103,13 @@ def test_spec_rejects_repeats_non_finite_p_and_seeds_outside_64_bits(field, valu
 def test_study_rejects_alpha_plus_beta_rounding_to_one_before_work(monkeypatch, study, scheme):
     # the reference and the general scheme start from x0/(1-alpha-beta),
     # and 1 - 0.3 - 0.7 is 0.0 although the gate accepts the pair
-    def no_increments(*args):
-        raise AssertionError("increments drawn for an undefined time-zero level")
+    def no_work(*args):
+        raise AssertionError("work started for an undefined time-zero level")
 
-    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_work)
+    monkeypatch.setattr(os, "fork", no_work)
     with pytest.raises(UndefinedTimeZero):
-        study(small_spec(params=validate(0.3, 0.7, 0.0, 1.0), scheme=scheme))
+        study(small_spec(params=validate(0.3, 0.7, 0.0, 1.0), scheme=scheme, paths=300), workers=2)
 
 
 def test_strong_error_zero_for_degenerate_dynamics():
@@ -252,16 +255,31 @@ def test_compare_schemes_large_negative_pair():
     assert all(np.isfinite(e.estimate) for e in cmp.old.errors)
 
 
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_bitwise_deterministic_and_worker_invariant():
-    spec = small_spec(paths=530)  # forces several unequal chunks
-    a = run_convergence(spec, workers=1)
-    b = run_convergence(spec, workers=1)
-    c = run_convergence(spec, workers=4)
-    for x, y in ((a, b), (a, c)):
-        for e_x, e_y in zip(x.errors, y.errors):
-            assert (e_x.estimate, e_x.std_err) == (e_y.estimate, e_y.std_err)
-        for f_x, f_y in zip(x.fits, y.fits):
-            assert (f_x.slope, f_x.intercept) == (f_y.slope, f_y.intercept)
+    # 530 paths: several unequal chunks, and span edges at 2, 3 and 4
+    # workers fall inside chunks; 257 paths: at 2 and 3 workers the last
+    # span ends in a one-path piece.  Both pairs are beyond Mao.
+    for alpha, beta, paths in ((0.6, -1.0, 530), (-3.0, -3.0, 257)):
+        spec = small_spec(params=validate(alpha, beta, 0.0, 1.0), paths=paths)
+        assert beyond_mao(spec.params)
+        base = dpsde.experiments._per_path_sup(spec, ("new", "old"), True)
+        a = run_convergence(spec, workers=1)
+        for workers in (1, 2, 3, 4):
+            gaps = dpsde.experiments._per_path_sup(spec, ("new", "old"), True, workers)
+            no_child_left()
+            for key, want in base.items():
+                assert np.array_equal(gaps[key].view(np.int64), want.view(np.int64)), (paths, workers, key)
+            b = run_convergence(spec, workers=workers)
+            no_child_left()
+            for e_x, e_y in zip(a.errors, b.errors):
+                assert (e_x.estimate, e_x.std_err) == (e_y.estimate, e_y.std_err)
+            for f_x, f_y in zip(a.fits, b.fits):
+                assert (f_x.slope, f_x.intercept) == (f_y.slope, f_y.intercept)
 
 
 def test_default_study_matches_documented_defaults():
@@ -374,6 +392,95 @@ def test_non_finite_gap_names_first_bad_path(monkeypatch):
         one_delay_gaps(spec, 8)
 
 
+def test_non_finite_path_in_the_second_span_exits_2_as_with_one_worker(capsys, tmp_path, monkeypatch):
+    # the bad paths of test_non_finite_gap_names_first_bad_path all lie in
+    # [256, 300), inside the second of two spans [0, 150) and [150, 300)
+    model = nan_after_half(lambda x: x > 3.0)
+    monkeypatch.setattr(dpsde.experiments, "get_model", lambda model_id: model)
+    errs = []
+    for workers in ("1", "2"):
+        out_csv = tmp_path / f"{workers}.csv"
+        code = cli.main(["converge", "--alpha", "0", "--beta", "0", "--grid-steps", "256", "--n-list", "8",
+                         "--paths", "300", "--seed", "18", "--workers", workers,
+                         "--out-csv", str(out_csv), "--out-json", str(tmp_path / f"{workers}.json")])
+        no_child_left()
+        assert code == 2
+        assert not out_csv.exists()
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("dpsde: error: NonFinitePath:")
+    assert int(re.search(r"path index (\d+)$", errs[0].strip()).group(1)) >= 256
+
+
+def poisoned_blocks(spec, bad, effect):
+    """scheme_blocks whose runs apply effect(x, hit) to X, where hit marks the columns of the paths in bad[(kind, n)].
+
+    A column is known by its first increment, as the stream sees only the increments.
+    """
+    firsts = {key: [generate_increments(spec.master_seed, i, spec.grid)[0] for i in paths] for key, paths in bad.items()}
+
+    def poisoned(kind, model, params, grid, n):
+        stream = scheme_blocks(kind, model, params, grid, n)
+
+        def run(dw):
+            hit = np.isin(dw[0], firsts.get((kind, n), []))
+            for *block, x in stream(dw):
+                yield (*block, effect(x, hit))
+
+        return run
+
+    return poisoned
+
+
+@pytest.mark.parametrize("bad,kind,n,first", [
+    # an earlier (kind, n) bad only in the second span beats a later one bad in the first
+    ({("new", 8): [200], ("new", 16): [10]}, "new", 8, 200),
+    ({("new", 8): [220, 180], ("old", 8): [3]}, "new", 8, 180),
+    # the first chunk beats an earlier (kind, n) bad only in the second chunk
+    ({("new", 8): [280], ("old", 32): [140]}, "old", 32, 140),
+    # bad only in the second chunk of the second span
+    ({("old", 16): [290, 260]}, "old", 16, 260),
+])
+def test_non_finite_path_is_the_one_worker_error_whatever_the_spans(monkeypatch, bad, kind, n, first):
+    # 300 paths: spans [0, 150) and [150, 300) at 2 workers, [0, 100),
+    # [100, 200) and [200, 300) at 3; chunks [0, 256) and [256, 300)
+    spec = small_spec(paths=300)
+    monkeypatch.setattr(dpsde.experiments, "scheme_blocks",
+                        poisoned_blocks(spec, bad, lambda x, hit: np.where(hit, np.nan, x)))
+    want = rf"^non-finite per-path sup gap for scheme {kind!r}, n={n}: first at path index {first}$"
+    for workers in (1, 2, 3):
+        with pytest.raises(NonFinitePath, match=want):
+            compare_schemes(spec, workers=workers)
+        no_child_left()
+
+
+def test_worker_failure_reaches_the_parent(monkeypatch):
+    # path 200 lies in the second span of two: an error raised there comes
+    # back with its type and message; a child that dies without a result is
+    # a ChildProcessError naming its span
+    spec = small_spec(paths=300)
+    parent = os.getpid()
+
+    def raising(x, hit):
+        if hit.any():
+            raise ValueError("bad coefficient")
+        return x
+
+    def dying(x, hit):
+        if hit.any() and os.getpid() != parent:
+            os._exit(3)
+        return x
+
+    monkeypatch.setattr(dpsde.experiments, "scheme_blocks", poisoned_blocks(spec, {("new", 16): [200]}, raising))
+    with pytest.raises(ValueError, match="^bad coefficient$"):
+        run_convergence(spec, workers=2)
+    no_child_left()
+    monkeypatch.setattr(dpsde.experiments, "scheme_blocks", poisoned_blocks(spec, {("new", 16): [200]}, dying))
+    with pytest.raises(ChildProcessError, match=r"paths \[150, 300\) sent no result"):
+        run_convergence(spec, workers=2)
+    no_child_left()
+
+
 def test_one_delay_runs_only_that_delay(monkeypatch):
     # a study builds the reference and one scheme stream per (kind, n) once,
     # before the first increments are drawn, and runs each stream once per
@@ -444,10 +551,11 @@ def test_one_path_last_chunk_gives_the_vector_step_bits():
 @pytest.mark.parametrize("study", [run_convergence, compare_schemes, moment_scan])
 @pytest.mark.parametrize("workers", [0, -1])
 def test_study_rejects_worker_count_below_one_before_work(monkeypatch, study, workers):
-    def no_increments(*args):
-        raise AssertionError("increments drawn for an invalid worker count")
+    def no_work(*args):
+        raise AssertionError("work started for an invalid worker count")
 
-    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_work)
+    monkeypatch.setattr(os, "fork", no_work)
     with pytest.raises(InvalidWorkerCount):
         study(small_spec(), workers=workers)
 
