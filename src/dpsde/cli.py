@@ -18,8 +18,9 @@ parser, so a bad value (or an empty list entry) fails the same way from
 either, with InvalidOption.  The output paths (``--out``, ``--out-csv``,
 ``--out-json``) are flags only; their default directory is $DPSDE_OUTPUT_DIR
 (else the working directory), it must exist before any work starts, and a
-study's two outputs must be distinct files.  ``--workers`` defaults to the
-number of CPUs this process may run on.
+study's two outputs must be distinct files.  ``--workers`` defaults to 2,
+the one count the studies were timed at, or to 1 where the platform has no
+os.fork.
 Exit codes: 0 ok, 1 runtime/I-O failure, 2 validation failure; failures
 print a single machine-parsable line on stderr.
 """
@@ -72,7 +73,7 @@ _OPTIONS = {
     "seed": (int, _STOCK["master_seed"], "master seed"),
     "scheme": (str, _STOCK["scheme"], "scheme variant: new, old or general; simulate also takes reference"),
     "path_index": (int, 0, "path substream index"),
-    "workers": (int, len(os.sched_getaffinity(0)), "worker processes"),
+    "workers": (int, 2 if hasattr(os, "fork") else 1, "worker processes"),
     "format": (str, "csv", "path output format, csv or json"),
 }
 

@@ -187,9 +187,10 @@ def _per_path_sup(
     With against_reference=True the statistic is sup_k |X^n_k - X_k| with X
     from the limit-equation solver on the same increments; otherwise it is
     sup_k |X^n_k|.  Output arrays are ordered by path index.  Raises
-    InvalidWorkerCount for workers < 1, and whatever building the solvers
-    raises (NonZeroStart, UndefinedTimeZero, ...), before any increment is
-    drawn or any process forked, and NonFinitePath if a statistic is not
+    InvalidWorkerCount for workers < 1, or > 1 where os.fork is missing,
+    and whatever building the solvers raises (NonZeroStart,
+    UndefinedTimeZero, ...), before any increment is drawn or any process
+    forked, and NonFinitePath if a statistic is not
     finite: the first (kind, n) of the first chunk that holds one, at its
     first bad path, whatever the worker count.
 
@@ -200,6 +201,8 @@ def _per_path_sup(
     """
     if workers < 1:
         raise InvalidWorkerCount(f"workers must be >= 1, got {workers!r}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise InvalidWorkerCount(f"workers={workers} needs os.fork, which this platform lacks")
     model = get_model(spec.model_id)
     ref_steps = reference_steps(model, spec.params, spec.grid) if against_reference else None
     streams = {(kind, n): scheme_blocks(kind, model, spec.params, spec.grid, n) for kind in kinds for n in spec.n_list}

@@ -5,6 +5,8 @@ import math
 import os
 import re
 import string
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -144,11 +146,38 @@ def test_converge_byte_identical_across_worker_counts(capsys, tmp_path, monkeypa
     assert outputs["1"] == outputs["2"] == outputs["3"]
 
 
-def test_workers_default_to_the_usable_cpus_and_name_processes(capsys):
-    assert cli._OPTIONS["workers"][1] == len(os.sched_getaffinity(0))
+def test_workers_default_to_two_processes(capsys):
+    assert cli._OPTIONS["workers"][1] == 2
     with pytest.raises(SystemExit):
         main(["converge", "--help"])
-    assert re.search(r"--workers WORKERS\s+worker processes \(default \d+\)", capsys.readouterr().out)
+    assert re.search(r"--workers WORKERS\s+worker processes \(default 2\)", capsys.readouterr().out)
+
+
+def test_cli_without_fork_or_sched_getaffinity_defaults_to_one_worker():
+    # A platform without os.fork (Windows) or os.sched_getaffinity (macOS):
+    # the CLI still imports and defaults to one process, a one-process study
+    # runs, and workers > 1 is rejected before any increment is drawn.
+    script = """
+import os
+del os.fork, os.sched_getaffinity
+import dpsde.cli, dpsde.experiments
+from dpsde.errors import InvalidWorkerCount
+assert dpsde.cli._OPTIONS["workers"][1] == 1
+spec = dpsde.experiments.default_study(grid_steps=256, n_list=(8, 16, 32), paths=5)
+assert dpsde.experiments.run_convergence(spec).errors
+def no_work(*args):
+    raise AssertionError("increments drawn")
+dpsde.experiments.generate_increments = no_work
+try:
+    dpsde.experiments.run_convergence(spec, workers=2)
+except InvalidWorkerCount as exc:
+    print(exc)
+"""
+    src = str(Path(dpsde.experiments.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "workers=2 needs os.fork, which this platform lacks\n"
 
 
 def test_config_file_and_flag_override(capsys, tmp_path):
