@@ -12,12 +12,12 @@ One table, ``_OPTIONS``, gives every option its parser, default and help;
 ``default_study``'s.  Options may also come from a config file of
 ``key = value`` lines (``#`` starts a comment): a key must name one of the
 subcommand's own options and appear once, and explicit flags override the
-file.  argparse
-only collects the raw strings; flag and config values go through the same
-parser, so a bad value (or an empty list entry) fails the same way from
-either, with InvalidOption.  The output paths (``--out``, ``--out-csv``,
-``--out-json``) are flags only; their default directory is $DPSDE_OUTPUT_DIR
-(else the working directory), it must exist before any work starts, and a
+file.  argparse only collects the raw strings; flag and config values go
+through the same parser, so a bad value (or an empty list entry) fails the
+same way from either, with InvalidOption.  The output paths (``--out``,
+``--out-csv``, ``--out-json``) are flags only; their default directory is
+$DPSDE_OUTPUT_DIR (else the working directory).  Before any work starts,
+that directory must exist, no output path may be a directory, and a
 study's two outputs must be distinct files.  ``--workers`` defaults to 2,
 the one count the studies were timed at, or to 1 where the platform has no
 os.fork.
@@ -159,10 +159,12 @@ def _settings(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _out_path(given: str | None, default_name: str) -> Path:
-    """The output path, checked before any work: its directory must exist."""
+    """The output path, checked before any work: not a directory, in a directory that exists."""
     out = Path(given) if given else Path(os.environ.get("DPSDE_OUTPUT_DIR", ".")) / default_name
     if not out.parent.is_dir():
         raise FileNotFoundError(f"output directory does not exist: {out.parent}")
+    if out.is_dir():
+        raise IsADirectoryError(f"output path is a directory: {out}")
     return out
 
 

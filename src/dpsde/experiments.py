@@ -10,28 +10,25 @@ strong error and sup_k |X^n_k| for the moment scan.  The empirical decay
 exponent is an ordinary least squares fit of log2(estimate) against log2(n).
 
 Determinism: each path's increments are a pure function of
-(master_seed, path_index), chunk boundaries are fixed by the path count
-alone, and per-path statistics are assembled into arrays ordered by path
-index before any reduction (numpy's pairwise mean/std on a fixed array is
-reproducible).  Work may be spread over forked worker processes, each
-on a contiguous span of paths that may cut a chunk.  Every solver is
-column-independent, and a one-path piece takes the reference's float
-loop, bitwise equal to its vector step, so the worker count cannot change
-any output bit.
+(master_seed, path_index), and per-path statistics are assembled into
+arrays ordered by path index before any reduction (numpy's pairwise
+mean/std on a fixed array is reproducible).  Forked worker processes may
+each run a contiguous span of paths, in even pieces of at most _CHUNK
+paths.  Every solver is column-independent, and a one-path study takes
+the reference's float loop, bitwise equal to its vector step, so neither
+the worker count nor the piece width can change any output bit.
 
-Streaming fold.  A chunk of B paths writes its increments into one
+Streaming fold.  A piece of B paths writes its increments into one
 time-major (L, B) array and keeps the reference solution's X only, as an
 (L+1, B) array.  Each scheme run then streams its blocks of at most m rows
 (dpsde.scheme) and folds every block into a running per-path sup with four
 ufunc calls into preallocated buffers: subtract, abs, maximum.reduce over
 the block's rows, and maximum into the running value.  Max is exact, so the
 per-path statistics, and every output bit, equal those of the full
-(L+1, B) scheme output.  A chunk therefore holds about 2*L*B floats plus
+(L+1, B) scheme output.  A piece therefore holds about 2*L*B floats plus
 O(m*B) scheme state, rather than four (L+1, B) arrays per solver run; one
-256-path chunk of the stock study at L=2048 peaks near 4.3*L*B*8 bytes
-under tracemalloc, and the tests hold it below 5*L*B*8.  A per-path
-statistic that is not finite raises NonFinitePath, naming the scheme, n
-and the first bad path.
+256-path piece of the stock study at L=2048 peaks near 4.3*L*B*8 bytes
+under tracemalloc, and the tests hold it below 5*L*B*8.
 
 The grid must resolve the shortest delay: studies enforce at least 8 grid
 steps per delay 1/n, keeping lag resolution error subdominant at desk
@@ -190,14 +187,14 @@ def _per_path_sup(
     InvalidWorkerCount for workers < 1, or > 1 where os.fork is missing,
     and whatever building the solvers raises (NonZeroStart,
     UndefinedTimeZero, ...), before any increment is drawn or any process
-    forked, and NonFinitePath if a statistic is not
-    finite: the first (kind, n) of the first chunk that holds one, at its
-    first bad path, whatever the worker count.
+    forked.
 
     The paths split into w = min(workers, max(1, paths // _MIN_SPAN))
-    contiguous spans (see _in_spans).  A span runs its pieces of the chunk
-    grid in order and stops after the first piece that holds a non-finite
-    statistic, so every chunk up to the first bad one is complete.
+    contiguous spans (see _in_spans), each run in order as the fewest even
+    pieces no wider than _CHUNK.  A span stops after its first piece that
+    holds a non-finite statistic, so every path below the lowest bad one
+    has run; NonFinitePath names that path and the first (kind, n), in
+    study order, that is bad there, whatever the worker count.
     """
     if workers < 1:
         raise InvalidWorkerCount(f"workers must be >= 1, got {workers!r}")
@@ -211,8 +208,9 @@ def _per_path_sup(
     widest = max(lag_map(spec.grid, n) for n in spec.n_list)
 
     def span(s0: int, s1: int) -> None:
-        for c in range(s0 - s0 % _CHUNK, s1, _CHUNK):
-            s, e = max(c, s0), min(c + _CHUNK, s1)
+        k = math.ceil((s1 - s0) / _CHUNK)
+        for q in range(k):
+            s, e = s0 + (s1 - s0) * q // k, s0 + (s1 - s0) * (q + 1) // k
             B = e - s
             dw = np.empty((L, B))
             for j in range(B):
@@ -241,14 +239,14 @@ def _per_path_sup(
 
     w = min(workers, max(1, M // _MIN_SPAN))
     _in_spans(span, out, [M * i // w for i in range(w + 1)])
-    for c in range(0, M, _CHUNK):
-        for (kind, n), sup in out.items():
-            bad = np.flatnonzero(~np.isfinite(sup[c : c + _CHUNK]))
-            if bad.size:
-                what = "sup gap" if against_reference else "sup"
-                raise NonFinitePath(
-                    f"non-finite per-path {what} for scheme {kind!r}, n={n}: first at path index {c + bad[0]}"
-                )
+    bad = ~np.isfinite(np.array(list(out.values())))  # one row per (kind, n), in study order
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        kind, n = list(out)[int(bad[:, i].argmax())]
+        what = "sup gap" if against_reference else "sup"
+        raise NonFinitePath(
+            f"non-finite per-path {what} for scheme {kind!r}, n={n}: first at path index {i}"
+        )
     return out
 
 

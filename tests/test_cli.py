@@ -400,6 +400,33 @@ def test_missing_output_directory_exits_1_before_work(capsys, tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,outs,taken", [
+    (["converge"], ["--out-csv", "{tmp}/x.csv", "--out-json", "{tmp}/taken"], "taken"),
+    (["converge"], ["--out-csv", "{tmp}/taken", "--out-json", "{tmp}/x.json"], "taken"),
+    (["compare"], ["--out-json", "{tmp}/taken"], "taken"),
+    (["converge"], [], "converge.json"),
+    (["simulate", "--scheme", "reference"], ["--out", "{tmp}/taken"], "taken"),
+    (["simulate"], [], "simulate.csv"),
+], ids=["converge-json", "converge-csv", "compare-json", "converge-env", "simulate-out", "simulate-env"])
+def test_output_path_naming_a_directory_exits_1_before_work(capsys, tmp_path, monkeypatch, command, outs, taken):
+    # the directory may be named by a flag or be the default name under
+    # $DPSDE_OUTPUT_DIR; either way nothing is drawn, solved or written
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an output that cannot be written")
+
+    monkeypatch.setattr(cli, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    monkeypatch.setenv("DPSDE_OUTPUT_DIR", str(tmp_path))
+    (tmp_path / taken).mkdir()
+    study = [] if command[0] == "simulate" else ["--n-list", "8,16,32", "--paths", "5"]
+    outs = [arg.format(tmp=tmp_path) for arg in outs]
+    code, out, err = run_cli(capsys, *command, "--grid-steps", "256", *study, *outs)
+    assert code == 1 and out == ""
+    assert err == f"dpsde: error: IsADirectoryError: output path is a directory: {tmp_path / taken}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / taken]
+    assert list((tmp_path / taken).iterdir()) == []
+
+
 def test_check_subcommand_passes(capsys):
     code, out, _ = run_cli(capsys, "check")
     assert code == 0

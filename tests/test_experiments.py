@@ -261,9 +261,10 @@ def no_child_left():
 
 
 def test_bitwise_deterministic_and_worker_invariant():
-    # 530 paths: several unequal chunks, and span edges at 2, 3 and 4
-    # workers fall inside chunks; 257 paths: at 2 and 3 workers the last
-    # span ends in a one-path piece.  Both pairs are beyond Mao.
+    # 530 paths: at 1 and 2 workers each span runs as pieces of unequal
+    # width (176/177/177, 132/133), at 3 and 4 as one piece; 257 paths: two
+    # pieces of 128 and 129 at 1 worker, odd-width spans at 3 and 4.  Both
+    # pairs are beyond Mao.
     for alpha, beta, paths in ((0.6, -1.0, 530), (-3.0, -3.0, 257)):
         spec = small_spec(params=validate(alpha, beta, 0.0, 1.0), paths=paths)
         assert beyond_mao(spec.params)
@@ -307,7 +308,7 @@ def materialised_sups(spec, n, against_reference):
 
 
 def test_streaming_fold_matches_materialised_sups_bitwise():
-    # int64 views; 300 paths span two chunks, and (L=96, T=0.75, n=2) has a
+    # int64 views; 300 paths run as two pieces, and (L=96, T=0.75, n=2) has a
     # partial last block (m=64)
     rng = np.random.default_rng(61)
     pairs = [(0.6, -1.0), (-2.0, 0.5)]
@@ -379,7 +380,7 @@ def test_non_finite_gap_raises_naming_kind_n_and_path(monkeypatch):
 
 
 def test_non_finite_gap_names_first_bad_path(monkeypatch):
-    # with this seed only paths in the second chunk ever pass x = 3 after t = 0.5
+    # with this seed only paths from 256 on ever pass x = 3 after t = 0.5
     model = nan_after_half(lambda x: x > 3.0)
     monkeypatch.setattr(dpsde.experiments, "get_model", lambda model_id: model)
     spec = small_spec(params=validate(0.0, 0.0, 0.0, 1.0), n_list=(8,), paths=300, master_seed=18)
@@ -433,17 +434,18 @@ def poisoned_blocks(spec, bad, effect):
 
 
 @pytest.mark.parametrize("bad,kind,n,first", [
-    # an earlier (kind, n) bad only in the second span beats a later one bad in the first
-    ({("new", 8): [200], ("new", 16): [10]}, "new", 8, 200),
-    ({("new", 8): [220, 180], ("old", 8): [3]}, "new", 8, 180),
-    # the first chunk beats an earlier (kind, n) bad only in the second chunk
+    # the lowest bad path decides, not the study order of the (kind, n) bad there
+    ({("new", 8): [200], ("new", 16): [10]}, "new", 16, 10),
+    ({("new", 8): [220, 180], ("old", 8): [3]}, "old", 8, 3),
     ({("new", 8): [280], ("old", 32): [140]}, "old", 32, 140),
-    # bad only in the second chunk of the second span
+    # bad only in the second piece of the second span
     ({("old", 16): [290, 260]}, "old", 16, 260),
+    # two (kind, n) bad at the lowest bad path: the first in study order
+    ({("old", 8): [170], ("new", 32): [250, 170], ("new", 16): [220]}, "new", 32, 170),
 ])
 def test_non_finite_path_is_the_one_worker_error_whatever_the_spans(monkeypatch, bad, kind, n, first):
-    # 300 paths: spans [0, 150) and [150, 300) at 2 workers, [0, 100),
-    # [100, 200) and [200, 300) at 3; chunks [0, 256) and [256, 300)
+    # 300 paths: pieces [0, 150) and [150, 300) at 1 worker, spans [0, 150)
+    # and [150, 300) at 2, [0, 100), [100, 200) and [200, 300) at 3
     spec = small_spec(paths=300)
     monkeypatch.setattr(dpsde.experiments, "scheme_blocks",
                         poisoned_blocks(spec, bad, lambda x, hit: np.where(hit, np.nan, x)))
@@ -484,7 +486,7 @@ def test_worker_failure_reaches_the_parent(monkeypatch):
 def test_one_delay_runs_only_that_delay(monkeypatch):
     # a study builds the reference and one scheme stream per (kind, n) once,
     # before the first increments are drawn, and runs each stream once per
-    # chunk (300 paths: two chunks); a one-n spec builds and runs only that
+    # piece (300 paths: [0, 150) and [150, 300)); a one-n spec builds and runs only that
     # delay, and gives the full study's gaps bit for bit
     calls = []
 
@@ -513,7 +515,7 @@ def test_one_delay_runs_only_that_delay(monkeypatch):
 
     def expected(keys):
         runs = [("run", *key) for key in keys]
-        first, second = ([("increments", i) for i in span] for span in (range(256), range(256, 300)))
+        first, second = ([("increments", i) for i in span] for span in (range(150), range(150, 300)))
         return [("build", *key) for key in keys] + first + runs + second + runs
 
     spec = small_spec(paths=300)
@@ -533,19 +535,44 @@ def test_one_delay_runs_only_that_delay(monkeypatch):
         assert np.float64(e.estimate).view(np.int64) == np.mean(full[(spec.scheme, n)] ** 2.0).view(np.int64)
 
 
-def test_one_path_last_chunk_gives_the_vector_step_bits():
-    # 257 paths leave a last chunk of one path, whose reference takes the
+def test_one_path_study_gives_the_vector_step_bits():
+    # only a one-path study runs a one-path piece, whose reference takes the
     # Python-float loop; its gap must be the one from the vector step,
     # run at B=2 on a duplicated column
-    spec = small_spec(model_id="bounded-trig", params=validate(-2.0, 0.5, 0.0, 1.0), paths=257)
+    spec = small_spec(model_id="bounded-trig", params=validate(-2.0, 0.5, 0.0, 1.0), paths=1)
     gaps = dpsde.experiments._per_path_sup(spec, ("new",), True)
     model = get_model(spec.model_id)
-    dw = generate_increments(spec.master_seed, 256, spec.grid)
+    dw = generate_increments(spec.master_seed, 0, spec.grid)
     ref = solve_reference_batch(model, spec.params, spec.grid, [dw, dw])[3][0]
     for n in spec.n_list:
         x = simulate_new_batch(model, spec.params, spec.grid, n, [dw])[3][0]
         want = np.max(np.abs(x - ref))
-        assert np.float64(gaps[("new", n)][256]).view(np.int64) == want.view(np.int64), n
+        assert np.float64(gaps[("new", n)][0]).view(np.int64) == want.view(np.int64), n
+
+
+def test_each_span_runs_as_even_pieces_of_at_most_256_paths(monkeypatch):
+    # the width of every reference run in this process: 2000 paths run as
+    # 8 pieces of 250 in one process; at 2 workers this process runs the
+    # span [0, 1000) as 4 pieces of 250 (and the child [1000, 2000) alike)
+    widths = []
+    build = dpsde.experiments.reference_steps
+
+    def recording(*args):
+        stream = build(*args)
+
+        def run(dw):
+            widths.append(dw.shape[1])
+            return stream(dw)
+
+        return run
+
+    monkeypatch.setattr(dpsde.experiments, "reference_steps", recording)
+    spec = small_spec(n_list=(8,), paths=2000, grid=make_grid(64, 1.0))
+    for workers, want in ((1, [250] * 8), (2, [250] * 4)):
+        widths.clear()
+        dpsde.experiments._per_path_sup(spec, ("new",), True, workers)
+        no_child_left()
+        assert widths == want, workers
 
 
 @pytest.mark.parametrize("study", [run_convergence, compare_schemes, moment_scan])
