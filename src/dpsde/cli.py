@@ -21,8 +21,8 @@ that directory must exist, no output path may be a directory, and a
 study's two outputs must be distinct files.  ``--workers`` defaults to 2,
 the one count the studies were timed at, or to 1 where the platform has no
 os.fork.
-Exit codes: 0 ok, 1 runtime/I-O failure, 2 validation failure; failures
-print a single machine-parsable line on stderr.
+Exit codes: 0 ok, 1 runtime/I-O failure (OSError), 2 bad input (DPSDEError);
+each prints one machine-parsable stderr line, any other exception a traceback.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](_settings(args))
-    except (DPSDEError, ValueError, OSError) as exc:
+    except (DPSDEError, OSError) as exc:
         print(f"dpsde: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, OSError) else 2  # I/O is a runtime failure
 

@@ -23,12 +23,12 @@ before any increment is drawn, and returns a stream: a generator function
 of time-major (L, B) increments.  Running the stream yields blocks
 (k0, k1, phi, big_m, big_i, x): grid rows k0..k1-1 of each component as
 (k1-k0, B) views that later blocks overwrite, time zero first.  A stream
-creates its buffers on each run, so one built stream may run on several
-chunks at once.  Before its first step every run passes its increments to
-check_steps, which raises InvalidIncrements unless they hold exactly L
-steps per path.  Only the shape is checked: a non-finite increment runs
-through, and a study stops on the non-finite statistic it gives with
-NonFinitePath.
+creates its buffers on each run, so one built stream serves every piece of
+a study, in whichever process runs the piece.  Before its first step every
+run passes its increments to check_steps, which raises InvalidIncrements
+unless they hold exactly L steps per path.  Only the shape is checked: a
+non-finite increment runs through, and a study stops on the non-finite
+statistic it gives with NonFinitePath.
 """
 
 from __future__ import annotations

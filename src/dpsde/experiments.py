@@ -38,8 +38,8 @@ scale.
 from __future__ import annotations
 
 import math
+import mmap
 import os
-import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,18 +183,20 @@ def _per_path_sup(
 
     With against_reference=True the statistic is sup_k |X^n_k - X_k| with X
     from the limit-equation solver on the same increments; otherwise it is
-    sup_k |X^n_k|.  Output arrays are ordered by path index.  Raises
-    InvalidWorkerCount for workers < 1, or > 1 where os.fork is missing,
-    and whatever building the solvers raises (NonZeroStart,
-    UndefinedTimeZero, ...), before any increment is drawn or any process
-    forked.
+    sup_k |X^n_k|.  The arrays, ordered by path index, are the rows (one per
+    (kind, n), in study order) of one array in an anonymous shared mapping,
+    which forked spans fill in place.  Raises InvalidWorkerCount for
+    workers < 1, or > 1 where os.fork is missing, and whatever building the
+    solvers raises (NonZeroStart, UndefinedTimeZero, ...), before any
+    increment is drawn or any process forked.
 
     The paths split into w = min(workers, max(1, paths // _MIN_SPAN))
     contiguous spans (see _in_spans), each run in order as the fewest even
     pieces no wider than _CHUNK.  A span stops after its first piece that
     holds a non-finite statistic, so every path below the lowest bad one
     has run; NonFinitePath names that path and the first (kind, n), in
-    study order, that is bad there, whatever the worker count.
+    study order, that is bad there, whatever the worker count.  A forked
+    span whose study process is gone leaves before its next piece.
     """
     if workers < 1:
         raise InvalidWorkerCount(f"workers must be >= 1, got {workers!r}")
@@ -202,28 +204,31 @@ def _per_path_sup(
         raise InvalidWorkerCount(f"workers={workers} needs os.fork, which this platform lacks")
     model = get_model(spec.model_id)
     ref_steps = reference_steps(model, spec.params, spec.grid) if against_reference else None
-    streams = {(kind, n): scheme_blocks(kind, model, spec.params, spec.grid, n) for kind in kinds for n in spec.n_list}
+    keys = [(kind, n) for kind in kinds for n in spec.n_list]
+    streams = [scheme_blocks(kind, model, spec.params, spec.grid, n) for kind, n in keys]
     M, L = spec.paths, spec.grid.steps
-    out = {key: np.empty(M) for key in streams}
+    stats = np.frombuffer(mmap.mmap(-1, len(keys) * M * 8)).reshape(len(keys), M)
     widest = max(lag_map(spec.grid, n) for n in spec.n_list)
+    study_pid = os.getpid()
 
     def span(s0: int, s1: int) -> None:
         k = math.ceil((s1 - s0) / _CHUNK)
         for q in range(k):
+            if os.getpid() != study_pid and os.getppid() != study_pid:
+                os._exit(1)  # the study process is gone: nobody reads this span
             s, e = s0 + (s1 - s0) * q // k, s0 + (s1 - s0) * (q + 1) // k
             B = e - s
             dw = np.empty((L, B))
             for j in range(B):
                 dw[:, j] = generate_increments(spec.master_seed, s + j, spec.grid)
-            ref = None
             if against_reference:
                 ref = np.empty((L + 1, B))
                 for k0, k1, _, _, _, x in ref_steps(dw):
                     ref[k0:k1] = x
             gap = np.empty((widest, B))
             block_sup = np.empty(B)
-            for (kind, n), blocks in streams.items():
-                sup = out[(kind, n)][s:e]
+            for row, blocks in zip(stats, streams):
+                sup = row[s:e]
                 sup[:] = 0.0  # every |.| is >= +0.0, so 0 is the fold's identity
                 for k0, k1, _, _, _, x in blocks(dw):
                     g = gap[: k1 - k0]
@@ -234,72 +239,52 @@ def _per_path_sup(
                         np.abs(x, out=g)
                     np.maximum.reduce(g, axis=0, out=block_sup)
                     np.maximum(sup, block_sup, out=sup)
-            if not all(np.isfinite(a[s:e]).all() for a in out.values()):
+            if not np.isfinite(stats[:, s:e]).all():
                 return
 
     w = min(workers, max(1, M // _MIN_SPAN))
-    _in_spans(span, out, [M * i // w for i in range(w + 1)])
-    bad = ~np.isfinite(np.array(list(out.values())))  # one row per (kind, n), in study order
+    _in_spans(span, [M * i // w for i in range(w + 1)])
+    bad = ~np.isfinite(stats)
     if bad.any():
         i = int(bad.any(axis=0).argmax())
-        kind, n = list(out)[int(bad[:, i].argmax())]
+        kind, n = keys[int(bad[:, i].argmax())]
         what = "sup gap" if against_reference else "sup"
         raise NonFinitePath(
             f"non-finite per-path {what} for scheme {kind!r}, n={n}: first at path index {i}"
         )
-    return out
+    return dict(zip(keys, stats))
 
 
-def _in_spans(run, out: dict, edges: list[int]) -> None:
-    """run(s0, s1) on each span [edges[i], edges[i+1]), filling out[key][s0:s1].
+def _in_spans(run, edges: list[int]) -> None:
+    """run(s0, s1) on each span [edges[i], edges[i+1]).
 
-    This process runs the first span.  Each other span runs in one forked
-    child, which pickles its slice of every array in out, or the exception
-    it raised, back through a pipe and leaves through os._exit.  fork, not
-    spawn: a child starts with the built solvers and costs a few
-    milliseconds, and the study process runs no thread of its own.  Every
-    child is reaped before this returns or raises.
+    This process runs the first span and a forked child each other; run
+    writes into memory shared with this process.  A child leaves through
+    os._exit: 0 once run returns, 1 if it raises.  fork, not spawn: a child
+    starts with the built solvers in a few milliseconds.  Once every child
+    is reaped, this process reruns each span whose child did not exit 0:
+    no result depends on the process that computes it, so a rerun raises a
+    child's error as itself, with its traceback, or fills in the span of a
+    killed child.  The study process runs no thread: forking a threaded
+    process copies only the forking thread, and from Python 3.12 warns
+    with DeprecationWarning.  The library default workers=1 never forks.
     """
-    children = {}  # pid -> (read end of its pipe, its span)
+    children = {}  # pid -> its span
     try:
         for s0, s1 in zip(edges[1:-1], edges[2:]):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
+            pid = os.fork()
             if pid == 0:
                 try:
-                    os.close(read)
-                    for other, _, _ in children.values():
-                        other.close()
-                    try:
-                        run(s0, s1)
-                        result = {key: a[s0:s1] for key, a in out.items()}
-                    except BaseException as exc:  # sent to the parent, which raises it
-                        result = exc
-                    with os.fdopen(write, "wb") as pipe:
-                        pickle.dump(result, pipe)
-                finally:
-                    os._exit(0)
-            os.close(write)
-            children[pid] = (os.fdopen(read, "rb"), s0, s1)
+                    run(s0, s1)
+                except BaseException:  # the parent reruns the span and raises it
+                    os._exit(1)
+                os._exit(0)
+            children[pid] = (s0, s1)
         run(edges[0], edges[1])
-        for pipe, s0, s1 in children.values():
-            try:
-                result = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError) as exc:
-                raise ChildProcessError(f"the worker process for paths [{s0}, {s1}) sent no result") from exc
-            if isinstance(result, BaseException):
-                raise result
-            for key, a in out.items():
-                a[s0:s1] = result[key]
     finally:
-        for pid, (pipe, _, _) in children.items():
-            pipe.close()  # a child still to send its result then fails to, and leaves
-            os.waitpid(pid, 0)
+        failed = [span for pid, span in children.items() if os.waitpid(pid, 0)[1] != 0]
+    for s0, s1 in failed:
+        run(s0, s1)
 
 
 def rate_fit(errors) -> tuple[float, float]:

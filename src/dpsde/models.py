@@ -23,8 +23,8 @@ the matching array element.  ``t`` may be a float or an ndarray
 broadcastable against ``x``: the scheme kernels pass a whole block of grid
 steps at once, with ``x`` of shape (steps, paths) and ``t`` a (steps, 1)
 column, so a coefficient must combine ``t`` and ``x`` elementwise (numpy
-operations, not ``math`` functions of ``t``).  Evaluation is pure; models
-are immutable and safe for concurrent use.
+operations, not ``math`` functions of ``t``).  Evaluation is pure and
+models are immutable.
 """
 
 from __future__ import annotations

@@ -28,8 +28,8 @@ __all__ = ["PerturbationParams", "validate", "beyond_mao", "time_zero_level"]
 class PerturbationParams:
     """Validated (alpha, beta, x0, horizon) tuple with derived rho.
 
-    Instances are immutable and safe to share across threads.  Construct via
-    :func:`validate`; building one directly skips the well-posedness gate.
+    Instances are immutable.  Construct via :func:`validate`; building one
+    directly skips the well-posedness gate.
     """
 
     alpha: float

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import dpsde.experiments
 from dpsde import cli
 from dpsde.cli import main
-from dpsde.driver import _philox_key
+from dpsde.driver import _philox_key, generate_increments, make_grid
 from dpsde.models import builtin_catalog
 
 
@@ -306,6 +306,31 @@ def test_converge_non_finite_path_exits_2(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "NonFinitePath" in err and "n=8" in err
     assert not out_csv.exists()
+
+
+def test_value_error_inside_a_study_propagates_out_of_main(tmp_path, monkeypatch):
+    # every deliberate error is a DPSDEError; a bare ValueError is a bug, and
+    # it keeps its traceback rather than exiting 2 as bad input.  Path 200
+    # (known by its first increment) lies in the second span of two, so the
+    # error is raised in the child and again in this process's rerun
+    build = dpsde.experiments.scheme_blocks
+    first = generate_increments(42, 200, make_grid(256, 1.0))[0]
+
+    def failing(*args):
+        stream = build(*args)
+
+        def run(dw):
+            if first in dw[0]:
+                raise ValueError("bug in a span")
+            return stream(dw)
+
+        return run
+
+    monkeypatch.setattr(dpsde.experiments, "scheme_blocks", failing)
+    with pytest.raises(ValueError, match="^bug in a span$"):
+        main(["converge", "--grid-steps", "256", "--n-list", "8,16,32", "--paths", "300", "--workers", "2",
+              "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json")])
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_compare_writes_both_schemes(capsys, tmp_path):

@@ -1,8 +1,13 @@
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,31 +461,113 @@ def test_non_finite_path_is_the_one_worker_error_whatever_the_spans(monkeypatch,
         no_child_left()
 
 
+class KeywordOnlyError(Exception):
+    """An exception pickle cannot rebuild: its __init__ needs a keyword-only argument."""
+
+    def __init__(self, *, reason):
+        super().__init__(reason)
+
+
 def test_worker_failure_reaches_the_parent(monkeypatch):
-    # path 200 lies in the second span of two: an error raised there comes
-    # back with its type and message; a child that dies without a result is
-    # a ChildProcessError naming its span
+    # path 200 lies in the second span of two, [150, 300).  A child whose
+    # span raises exits 1, and this process reruns the span: the caller gets
+    # the error itself, raised through _per_path_sup, even one that pickle
+    # could not rebuild.  A child that dies without a word is no failure:
+    # its span is rerun here and the per-path arrays equal workers=1's
     spec = small_spec(paths=300)
     parent = os.getpid()
+    statuses = []
+    real_waitpid = os.waitpid
 
-    def raising(x, hit):
-        if hit.any():
-            raise ValueError("bad coefficient")
-        return x
+    def recording_waitpid(pid, options):
+        reaped = real_waitpid(pid, options)
+        statuses.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
+
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+
+    def raising(error):
+        def effect(x, hit):
+            if hit.any():
+                raise error
+            return x
+
+        return effect
 
     def dying(x, hit):
         if hit.any() and os.getpid() != parent:
             os._exit(3)
         return x
 
-    monkeypatch.setattr(dpsde.experiments, "scheme_blocks", poisoned_blocks(spec, {("new", 16): [200]}, raising))
-    with pytest.raises(ValueError, match="^bad coefficient$"):
-        run_convergence(spec, workers=2)
-    no_child_left()
+    for error, match in ((ValueError("bad coefficient"), "^bad coefficient$"),
+                         (KeywordOnlyError(reason="no pickle"), "^no pickle$")):
+        statuses.clear()
+        monkeypatch.setattr(dpsde.experiments, "scheme_blocks",
+                            poisoned_blocks(spec, {("new", 16): [200]}, raising(error)))
+        with pytest.raises(type(error), match=match) as caught:
+            dpsde.experiments._per_path_sup(spec, ("new",), True, 2)
+        assert "_per_path_sup" in [entry.name for entry in caught.traceback]
+        assert statuses == [1]
+        no_child_left()
+    statuses.clear()
     monkeypatch.setattr(dpsde.experiments, "scheme_blocks", poisoned_blocks(spec, {("new", 16): [200]}, dying))
-    with pytest.raises(ChildProcessError, match=r"paths \[150, 300\) sent no result"):
-        run_convergence(spec, workers=2)
+    got = dpsde.experiments._per_path_sup(spec, ("new",), True, 2)
+    assert statuses == [3]
     no_child_left()
+    want = dpsde.experiments._per_path_sup(spec, ("new",), True, 1)
+    assert list(got) == list(want)
+    for key in want:
+        assert np.array_equal(got[key].view(np.int64), want[key].view(np.int64)), key
+
+
+def running(pid):
+    """Whether pid names a process that exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_worker_leaves_once_its_study_process_is_gone():
+    # a study at workers=2 in a subprocess forks one child for its second
+    # span, 40 pieces of 256 paths (about 0.09 s each, 3.6 s in all, on a
+    # 2-CPU host); once the study process is SIGKILLed, the child leaves
+    # before its next piece, well within 1 s.  A zombie counts as gone:
+    # whoever adopts it may never reap it
+    script = """
+import os
+import dpsde.experiments as ex
+fork = os.fork
+def reporting_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = reporting_fork
+spec = ex.default_study(grid_steps=1024, n_list=(8,), p_list=(2.0,), paths=2 * 40 * 256)
+ex._per_path_sup(spec, ("new",), True, 2)
+"""
+    src = str(Path(dpsde.experiments.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    study = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True)
+    child = None
+    try:
+        child = int(study.stdout.readline())
+        study.kill()
+        study.wait(timeout=60)
+        deadline = time.monotonic() + 1.0
+        while running(child) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not running(child)
+    finally:
+        if study.poll() is None:
+            study.kill()
+            study.wait(timeout=60)
+        if child is not None and running(child):
+            os.kill(child, signal.SIGKILL)
+        study.stdout.close()
 
 
 def test_one_delay_runs_only_that_delay(monkeypatch):
