@@ -9,40 +9,36 @@ Subcommands:
 
 One table, ``_OPTIONS``, gives every option its parser, default and help;
 ``_COMMANDS`` names the options of each subcommand.  The study defaults are
-``default_study``'s.  Options may also come from a config file of
-``key = value`` lines (``#`` starts a comment): a key must name one of the
-subcommand's own options and appear once, and explicit flags override the
-file.  argparse only collects the raw strings; flag and config values go
-through the same parser, so a bad value (or an empty list entry) fails the
-same way from either, with InvalidOption.  The output paths (``--out``,
-``--out-csv``, ``--out-json``) are flags only; their default directory is
-$DPSDE_OUTPUT_DIR (else the working directory).  Before any work starts,
-that directory must exist, no output path may be a directory, and a
-study's two outputs must be distinct files.  ``--workers`` defaults to 2,
-the one count the studies were timed at, or to 1 where the platform has no
-os.fork.
-Exit codes: 0 ok, 1 runtime/I-O failure (OSError), 2 bad input (DPSDEError);
-each prints one machine-parsable stderr line, any other exception a traceback.
+``params.STOCK_STUDY``, the defaults of ``default_study`` too.  This module
+imports only the standard library, ``.errors`` and ``.params``; each handler
+imports the solver modules it runs, so ``validate``, ``--help`` and a value
+that fails to parse start without numpy.  Options may also come from a
+UTF-8 config file of ``key = value`` lines (``#`` starts a comment): a key
+must name one of the subcommand's own options and appear once, and explicit
+flags override the file.  argparse only collects the raw strings; flag and
+config values go through the same parser, so a bad value (or an empty list
+entry) fails the same way from either, with InvalidOption.  The output
+paths (``--out``, ``--out-csv``, ``--out-json``) are flags only; their
+default directory is $DPSDE_OUTPUT_DIR (else the working directory).
+Before any work starts, that directory must exist, no output path may be a
+directory, and a study's two outputs must be distinct files.  ``--workers``
+defaults to 2, the one count the studies were timed at, or to 1 where the
+platform has no os.fork.
+Exit codes: 0 ok, 1 runtime failure (OSError, MemoryError), 2 bad input
+(DPSDEError); each prints one machine-parsable stderr line, any other
+exception a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import re
 import sys
 from pathlib import Path
 
-from . import checks as checks_mod
 from . import params as params_mod
-from .driver import generate_increments, lag_map, make_grid, single_path
 from .errors import DPSDEError, InvalidOption, UnknownFormat, UnknownScheme
-from .experiments import ConvergenceReport, compare_schemes, default_study, run_convergence
-from .models import get_model
-from .output import write_path_csv, write_path_json, write_report_csv, write_report_json
-from .reference import reference_steps
-from .scheme import SCHEME_KINDS, scheme_blocks
 
 __all__ = ["main"]
 
@@ -57,7 +53,7 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 # option names that default_study spells differently
 _STUDY_ARGS = {"model": "model_id", "seed": "master_seed"}
-_STOCK = {name: p.default for name, p in inspect.signature(default_study).parameters.items()}
+_STOCK = params_mod.STOCK_STUDY
 
 _OPTIONS = {
     "model": (str, _STOCK["model_id"], "catalog model id"),
@@ -116,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help=f"{help_text} (default {shown})")
         if command == "simulate":
             p.add_argument("--out", help="output path (default <outdir>/simulate.<format>)")
-        elif command in _STUDIES:
+        elif command in ("converge", "compare"):
             p.add_argument("--out-csv", help=f"error table CSV (default <outdir>/{command}.csv)")
             p.add_argument("--out-json", help=f"summary JSON (default <outdir>/{command}.json)")
     return parser
@@ -131,7 +127,11 @@ def _parse(name: str, raw: str, source: str):
 
 def _parse_config_file(path: str, names: tuple[str, ...]) -> dict:
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidOption(f"config file {path} is not UTF-8: {exc}") from None
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -178,16 +178,20 @@ def _cmd_validate(s) -> int:
     return 0
 
 
-_PATH_WRITERS = {"csv": write_path_csv, "json": write_path_json}
-
-
 def _cmd_simulate(s) -> int:
+    from .driver import generate_increments, lag_map, make_grid, single_path
+    from .models import get_model
+    from .output import write_path_csv, write_path_json
+    from .reference import reference_steps
+    from .scheme import SCHEME_KINDS, scheme_blocks
+
+    writers = {"csv": write_path_csv, "json": write_path_json}
     params = params_mod.validate(s.alpha, s.beta, s.x0, s.horizon)
     model = get_model(s.model)
     grid = make_grid(s.grid_steps, params.horizon)
     # every check before the increments are drawn
-    if s.format not in _PATH_WRITERS:
-        raise UnknownFormat(f"format must be one of {', '.join(_PATH_WRITERS)}, got {s.format!r}")
+    if s.format not in writers:
+        raise UnknownFormat(f"format must be one of {', '.join(writers)}, got {s.format!r}")
     if s.scheme == "reference":
         lag_map(grid, s.n)  # the reference does not use n, but a bad n is still an error
         blocks = reference_steps(model, params, grid)
@@ -197,22 +201,23 @@ def _cmd_simulate(s) -> int:
         raise UnknownScheme(f"scheme must be one of {', '.join(SCHEME_KINDS)}, reference, got {s.scheme!r}")
     out = _out_path(s.out, f"simulate.{s.format}")
     path = single_path(blocks, grid, generate_increments(s.seed, s.path_index, grid))
-    _PATH_WRITERS[s.format](path, out)
+    writers[s.format](path, out)
     print(f"wrote {out}")
     return 0
 
 
-_STUDIES = {"converge": run_convergence, "compare": compare_schemes}
-
-
 def _cmd_study(s) -> int:
+    from .experiments import ConvergenceReport, compare_schemes, default_study, run_convergence
+    from .output import write_report_csv, write_report_json
+
     study = {_STUDY_ARGS.get(name, name): value for name, value in vars(s).items()}
     spec = default_study(**{name: value for name, value in study.items() if name in _STOCK})
     out_csv = _out_path(s.out_csv, f"{s.command}.csv")
     out_json = _out_path(s.out_json, f"{s.command}.json")
     if out_csv.resolve() == out_json.resolve():
         raise InvalidOption(f"--out-csv and --out-json name the same file: {out_csv}")
-    result = _STUDIES[s.command](spec, workers=s.workers)
+    run = run_convergence if s.command == "converge" else compare_schemes
+    result = run(spec, workers=s.workers)
     write_report_csv(result, out_csv)
     write_report_json(result, out_json)
     if isinstance(result, ConvergenceReport):
@@ -228,12 +233,18 @@ def _cmd_study(s) -> int:
     return 0
 
 
+def _cmd_check(s) -> int:
+    from .checks import run_all_checks
+
+    return 0 if run_all_checks() else 1
+
+
 _HANDLERS = {
     "validate": _cmd_validate,
     "simulate": _cmd_simulate,
     "converge": _cmd_study,
     "compare": _cmd_study,
-    "check": lambda s: 0 if checks_mod.run_all_checks() else 1,
+    "check": _cmd_check,
 }
 
 
@@ -241,9 +252,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](_settings(args))
-    except (DPSDEError, OSError) as exc:
-        print(f"dpsde: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, OSError) else 2  # I/O is a runtime failure
+    except (DPSDEError, OSError, MemoryError) as exc:
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__  # numpy's is private
+        print(f"dpsde: error: {kind}: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, DPSDEError) else 1  # I/O and memory are runtime failures
 
 
 if __name__ == "__main__":

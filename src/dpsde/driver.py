@@ -33,6 +33,7 @@ statistic it gives with NonFinitePath.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +81,12 @@ class GridPath:
 
 
 def make_grid(steps: int, horizon: float) -> SimGrid:
-    """Build a uniform grid; raises InvalidGrid on steps < 1 or horizon <= 0."""
+    """Build a uniform grid; raises InvalidGrid on steps < 1, on more steps than one path's
+    float64 increments can hold in an address space (8*steps > sys.maxsize), or on horizon <= 0."""
     if steps < 1:
         raise InvalidGrid(f"steps must be >= 1, got {steps}")
+    if steps * 8 > sys.maxsize:
+        raise InvalidGrid(f"steps must be at most {sys.maxsize // 8} for one path's increments, got {steps}")
     if not np.isfinite(horizon) or horizon <= 0.0:
         raise InvalidGrid(f"horizon must be finite and > 0, got {horizon}")
     return SimGrid(steps=int(steps), horizon=float(horizon))

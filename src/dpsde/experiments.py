@@ -47,7 +47,7 @@ import numpy as np
 from .driver import SimGrid, check_key_word, generate_increments, lag_map, make_grid
 from .errors import DegenerateFit, DelayTooFine, InvalidStudy, InvalidWorkerCount, NonFinitePath
 from .models import get_model
-from .params import PerturbationParams, validate
+from .params import STOCK_STUDY, PerturbationParams, validate
 from .reference import reference_steps
 from .scheme import check_scheme, scheme_blocks
 
@@ -103,19 +103,19 @@ class StudySpec:
 
 
 def default_study(
-    model_id: str = "affine",
-    alpha: float = 0.6,
-    beta: float = -1.0,
-    x0: float = 0.0,
-    horizon: float = 1.0,
-    grid_steps: int = 4096,
-    n_list: tuple[int, ...] = (8, 16, 32, 64),
-    p_list: tuple[float, ...] = (2.0, 4.0),
-    paths: int = 2000,
-    master_seed: int = 42,
-    scheme: str = "new",
+    model_id: str = STOCK_STUDY["model_id"],
+    alpha: float = STOCK_STUDY["alpha"],
+    beta: float = STOCK_STUDY["beta"],
+    x0: float = STOCK_STUDY["x0"],
+    horizon: float = STOCK_STUDY["horizon"],
+    grid_steps: int = STOCK_STUDY["grid_steps"],
+    n_list: tuple[int, ...] = STOCK_STUDY["n_list"],
+    p_list: tuple[float, ...] = STOCK_STUDY["p_list"],
+    paths: int = STOCK_STUDY["paths"],
+    master_seed: int = STOCK_STUDY["master_seed"],
+    scheme: str = STOCK_STUDY["scheme"],
 ) -> StudySpec:
-    """The stock desk-scale study (minutes of runtime, resolvable slopes)."""
+    """The stock desk-scale study (minutes of runtime, resolvable slopes); the defaults are params.STOCK_STUDY."""
     return StudySpec(
         model_id=model_id,
         params=validate(alpha, beta, x0, horizon),

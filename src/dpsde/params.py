@@ -18,10 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import AlphaOutOfRange, BetaOutOfRange, NonFiniteStart, NonPositiveHorizon, RhoTooLarge, UndefinedTimeZero
 
-__all__ = ["PerturbationParams", "validate", "beyond_mao", "time_zero_level"]
+__all__ = ["PerturbationParams", "validate", "beyond_mao", "time_zero_level", "STOCK_STUDY"]
+
+# the stock desk-scale study: experiments.default_study's defaults, and the CLI's, kept here free of numpy
+STOCK_STUDY = MappingProxyType({
+    "model_id": "affine", "alpha": 0.6, "beta": -1.0, "x0": 0.0, "horizon": 1.0, "grid_steps": 4096,
+    "n_list": (8, 16, 32, 64), "p_list": (2.0, 4.0), "paths": 2000, "master_seed": 42, "scheme": "new",
+})
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dpsde.driver
 import dpsde.experiments
 from dpsde import cli
 from dpsde.cli import main
@@ -180,6 +181,55 @@ except InvalidWorkerCount as exc:
     assert done.stdout == "workers=2 needs os.fork, which this platform lacks\n"
 
 
+_STARTUP = """
+import sys
+import dpsde
+code = 0
+if sys.argv[1:]:
+    from dpsde.cli import main
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv,code,numpy_loaded", [
+    ([], 0, False),
+    (["validate"], 0, False),
+    (["--help"], 0, False),
+    (["converge", "--help"], 0, False),
+    (["converge", "--alpha", "abc"], 2, False),
+    (["converge", "--grid-steps", "256", "--n-list", "8,16,32", "--paths", "5", "--workers", "1",
+      "--out-csv", "{tmp}/x.csv", "--out-json", "{tmp}/x.json"], 0, True),
+], ids=["import", "validate", "help", "converge-help", "bad-alpha", "converge"])
+def test_only_commands_that_compute_import_numpy(tmp_path, argv, code, numpy_loaded):
+    # the package and the CLI's parameter gate are pure Python: a fresh interpreter
+    # loads numpy only once a handler that computes runs
+    src = str(Path(dpsde.experiments.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    done = subprocess.run([sys.executable, "-c", _STARTUP, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{code} {numpy_loaded}", done.stderr
+
+
+def test_every_public_name_is_its_home_modules_object():
+    import importlib
+
+    import dpsde
+
+    for module, names in dpsde._EXPORTS.items():
+        home = importlib.import_module(f"dpsde.{module}")
+        for name in names:
+            assert getattr(dpsde, name) is getattr(home, name), name
+    assert sorted(dpsde.__all__) == sorted(name for names in dpsde._EXPORTS.values() for name in names)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        dpsde.no_such_name
+
+
 def test_config_file_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(
@@ -270,12 +320,12 @@ def test_converge_new_scheme_rejects_nonzero_x0_before_work(capsys, tmp_path, mo
 
 
 def test_simulate_new_scheme_rejects_nonzero_x0_before_work(capsys, tmp_path, monkeypatch):
-    import dpsde.cli
+    import dpsde.driver
 
     def no_increments(*args):
         raise AssertionError("increments drawn for an invalid path")
 
-    monkeypatch.setattr(dpsde.cli, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.driver, "generate_increments", no_increments)
     code, _, err = run_cli(
         capsys,
         "simulate", "--scheme", "new", "--x0", "0.5", "--grid-steps", "256", "--n", "8",
@@ -359,13 +409,13 @@ def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
 
 def test_unknown_model_is_validation_failure(capsys, tmp_path, monkeypatch):
     # a named DPSDEError, printed without KeyError's quotes around the message
-    import dpsde.cli
+    import dpsde.driver
     import dpsde.experiments
 
     def no_increments(*args):
         raise AssertionError("increments drawn for an unknown model")
 
-    monkeypatch.setattr(dpsde.cli, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.driver, "generate_increments", no_increments)
     monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("model = no-such\n")
@@ -401,6 +451,48 @@ def test_unwritable_output_is_runtime_failure(capsys, tmp_path):
     assert err.startswith("dpsde: error:")
 
 
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's private MemoryError subclass of a failed allocation."""
+
+
+def test_memory_error_is_a_runtime_failure(capsys, tmp_path, monkeypatch):
+    def out_of_memory(*args):
+        raise _ArrayMemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(dpsde.driver, "generate_increments", out_of_memory)
+    code, out, err = run_cli(capsys, "simulate", "--grid-steps", "256", "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err == "dpsde: error: MemoryError: Unable to allocate 8.00 EiB for an array\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge", "compare"])
+def test_grid_steps_beyond_one_paths_increments_exits_2_before_work(capsys, tmp_path, monkeypatch, command):
+    # 2**60 float64 increments are 2**63 bytes, past sys.maxsize: numpy cannot even size the array
+    def no_increments(*args):
+        raise AssertionError("increments drawn for a grid no path fits")
+
+    monkeypatch.setattr(dpsde.driver, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    outs = ["--out", str(tmp_path / "x")] if command == "simulate" else [
+        "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json")]
+    code, out, err = run_cli(capsys, command, "--grid-steps", str(2**60), *outs)
+    assert (code, out) == (2, "")
+    assert err.startswith("dpsde: error: InvalidGrid: steps must be at most") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"alpha = 0.5 # \xff\n")
+    for command in ("validate", "converge"):
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"dpsde: error: InvalidOption: config file {cfg} is not UTF-8:")
+        assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("command,outs", [
     (["converge"], ["--out-csv", "{missing}/x.csv", "--out-json", "{tmp}/x.json"]),
     (["converge"], ["--out-csv", "{tmp}/x.csv", "--out-json", "{missing}/x.json"]),
@@ -413,7 +505,7 @@ def test_missing_output_directory_exits_1_before_work(capsys, tmp_path, monkeypa
     def no_increments(*args):
         raise AssertionError("increments drawn for an output that cannot be written")
 
-    monkeypatch.setattr(cli, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.driver, "generate_increments", no_increments)
     monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
     monkeypatch.setenv("DPSDE_OUTPUT_DIR", str(tmp_path / "missing"))
     study = [] if command[0] == "simulate" else ["--n-list", "8,16,32", "--paths", "5"]
@@ -439,7 +531,7 @@ def test_output_path_naming_a_directory_exits_1_before_work(capsys, tmp_path, mo
     def no_increments(*args):
         raise AssertionError("increments drawn for an output that cannot be written")
 
-    monkeypatch.setattr(cli, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.driver, "generate_increments", no_increments)
     monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
     monkeypatch.setenv("DPSDE_OUTPUT_DIR", str(tmp_path))
     (tmp_path / taken).mkdir()
@@ -462,12 +554,12 @@ def test_check_subcommand_passes(capsys):
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_simulate_unknown_format_exits_2_before_work(capsys, tmp_path, monkeypatch, source):
-    import dpsde.cli
+    import dpsde.driver
 
     def no_increments(*args):
         raise AssertionError("increments drawn for an invalid format")
 
-    monkeypatch.setattr(dpsde.cli, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.driver, "generate_increments", no_increments)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("format = xml\n" if source == "config" else "grid_steps = 256\n")
     flag = ["--format", "xml"] if source == "flag" else []
@@ -533,12 +625,12 @@ def test_skipped_rate_fits_are_printed(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("n", ["0", "7"])
 def test_simulate_reference_rejects_bad_delay_before_work(capsys, tmp_path, monkeypatch, n):
-    import dpsde.cli
+    import dpsde.driver
 
     def no_increments(*args):
         raise AssertionError("increments drawn for an invalid delay")
 
-    monkeypatch.setattr(dpsde.cli, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.driver, "generate_increments", no_increments)
     dest = tmp_path / "ref.csv"
     code, _, err = run_cli(
         capsys,
@@ -570,13 +662,13 @@ def test_config_keys_are_checked_per_subcommand(capsys, tmp_path, command, line)
 @pytest.mark.parametrize("command", ["simulate", "converge"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_unknown_scheme_exits_2_before_work(capsys, tmp_path, monkeypatch, command, source):
-    import dpsde.cli
+    import dpsde.driver
     import dpsde.experiments
 
     def no_increments(*args):
         raise AssertionError("increments drawn for an invalid scheme")
 
-    monkeypatch.setattr(dpsde.cli, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.driver, "generate_increments", no_increments)
     monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
     scheme = "bogus" if command == "simulate" else "reference"
     cfg = tmp_path / "c.cfg"
@@ -722,13 +814,13 @@ def test_seed_or_path_index_outside_64_bits_exits_2(capsys, tmp_path, monkeypatc
 def test_alpha_plus_beta_rounding_to_one_exits_2_before_work(capsys, tmp_path, monkeypatch, command):
     # validate accepts (0.3, 0.7), but 1 - 0.3 - 0.7 is 0.0, so the start
     # level x0/(1-alpha-beta) of the reference and the general scheme is undefined
-    import dpsde.cli
+    import dpsde.driver
     import dpsde.experiments
 
     def no_increments(*args):
         raise AssertionError("increments drawn for an undefined time-zero level")
 
-    monkeypatch.setattr(dpsde.cli, "generate_increments", no_increments)
+    monkeypatch.setattr(dpsde.driver, "generate_increments", no_increments)
     monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
     outs = ["--out", str(tmp_path / "x.csv")] if command[0] == "simulate" else [
         "--n-list", "8,16,32", "--paths", "5", "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json")]
@@ -804,7 +896,7 @@ _BAD_VALUES = {
     "beta": _floats_in(min_value=0.5) | _NON_FINITE | _NOT_A_NUMBER,  # rho >= 1 at alpha=0.6 from 0.4 on
     "x0": _floats_in().filter(lambda v: float(v) != 0.0) | _NON_FINITE | _NOT_A_NUMBER,  # scheme new needs x0=0
     "horizon": _floats_in(max_value=0.0) | _NON_FINITE | _NOT_A_NUMBER,
-    "grid_steps": st.integers(max_value=0).map(str) | _NOT_A_NUMBER,
+    "grid_steps": st.integers(max_value=0).map(str) | st.integers(min_value=2**60).map(str) | _NOT_A_NUMBER,
     "n": st.integers(max_value=0).map(str) | st.integers(min_value=4097).map(str) | st.just("3") | _NOT_A_NUMBER,
     "n_list": st.sampled_from(["", ",", "8,,16,32", "8,16,32,"])
               | _list_with(st.integers(max_value=0) | st.integers(min_value=513))
@@ -834,7 +926,7 @@ def test_every_bad_option_value_exits_2_with_one_error_line_before_work(checked,
     command, name = checked
     value = data.draw(_BAD_VALUES[name], label=name)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "generate_increments", _no_increments)
+        mp.setattr(dpsde.driver, "generate_increments", _no_increments)
         mp.setattr(dpsde.experiments, "generate_increments", _no_increments)
         cfg = Path(tmp) / "c.cfg"
         cfg.write_text(f"{name} = {value}\n" if source == "config" else "")

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,10 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(8, 0.0)
     with pytest.raises(InvalidGrid):
         make_grid(8, float("nan"))
+    # one path's float64 increments must fit an address space: 2**60 of them are 2**63 bytes
+    with pytest.raises(InvalidGrid, match="steps must be at most"):
+        make_grid(2**60, 1.0)
+    assert make_grid(sys.maxsize // 8, 1.0).steps == sys.maxsize // 8
 
 
 def test_lag_map_examples():
