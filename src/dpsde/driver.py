@@ -97,18 +97,24 @@ def lag_map(grid: SimGrid, n: int) -> int:
 
     Requires n >= 1, delay at most the horizon, and L/(n*T) to be a positive
     integer; raises DelayTooFine when the delay rounds below one step and
-    DelayNotAligned when divisibility fails.
+    DelayNotAligned when it exceeds the horizon or divisibility fails.  An n
+    or L/(n*T) beyond the float range is judged by the same rule exactly.
     """
     if n < 1:
         raise DelayNotAligned(f"delay parameter n must be >= 1, got {n}")
-    exact = grid.steps / (n * grid.horizon)
-    m = int(round(exact))
+    try:
+        exact = grid.steps / (n * grid.horizon)
+        m = int(round(exact))
+    except OverflowError:  # n or L/(n*T) beyond the floats
+        from fractions import Fraction  # not at the top: it loads decimal, ~0.4 MB no valid run needs
+        exact = Fraction(grid.steps) / (n * Fraction(grid.horizon))
+        m = round(exact)
     if m < 1:
         raise DelayTooFine(f"delay 1/{n} is below one grid step h={grid.step_size!r}")
-    if abs(exact - m) > 1e-9 * max(1.0, m):
-        raise DelayNotAligned(f"L/(n*T) = {exact!r} is not an integer (L={grid.steps}, n={n}, T={grid.horizon!r})")
     if m > grid.steps:
         raise DelayNotAligned(f"delay 1/{n} exceeds the horizon {grid.horizon!r}")
+    if abs(exact - m) > 1e-9 * max(1.0, m):
+        raise DelayNotAligned(f"L/(n*T) = {float(exact)!r} is not an integer (L={grid.steps}, n={n}, T={grid.horizon!r})")
     return m
 
 

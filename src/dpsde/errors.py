@@ -78,7 +78,8 @@ class InvalidOption(DPSDEError, ValueError):
 
 
 class InvalidStudy(DPSDEError, ValueError):
-    """A study with no n, a repeated n or p, a p that is not a finite value >= 1, or no paths."""
+    """A study with no n, a repeated n or p, a p that is not a finite value >= 1, no paths, or arrays
+    too large to address."""
 
 
 class SeedOutOfRange(DPSDEError, ValueError):
@@ -91,6 +92,10 @@ class UndefinedTimeZero(DPSDEError, ValueError):
 
 class InvalidIncrements(DPSDEError, ValueError):
     """Increments that are not 1-D or (paths, L), or whose step count is not the grid's L."""
+
+
+class InvalidModulus(DPSDEError, ValueError):
+    """A Rho2 modulus whose epsilon is outside (0, 1/e]."""
 
 
 class UnknownModel(DPSDEError, KeyError):

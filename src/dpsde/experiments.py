@@ -21,14 +21,14 @@ the worker count nor the piece width can change any output bit.
 Streaming fold.  A piece of B paths writes its increments into one
 time-major (L, B) array and keeps the reference solution's X only, as an
 (L+1, B) array.  Each scheme run then streams its blocks of at most m rows
-(dpsde.scheme) and folds every block into a running per-path sup with four
-ufunc calls into preallocated buffers: subtract, abs, maximum.reduce over
-the block's rows, and maximum into the running value.  Max is exact, so the
-per-path statistics, and every output bit, equal those of the full
-(L+1, B) scheme output.  A piece therefore holds about 2*L*B floats plus
-O(m*B) scheme state, rather than four (L+1, B) arrays per solver run; one
-256-path piece of the stock study at L=2048 peaks near 4.3*L*B*8 bytes
-under tracemalloc, and the tests hold it below 5*L*B*8.
+(dpsde.scheme) and folds every block into a running per-path sup as
+maximum(sup, |X^n - X|.max(axis=0)), whose temporaries last one block.  Max
+is exact (NaN propagates), so the per-path statistics, and every output
+bit, equal those of the full (L+1, B) scheme output.  A piece therefore
+holds about 2*L*B floats plus O(m*B) scheme state, rather than four
+(L+1, B) arrays per solver run; one 256-path piece of the stock study at
+L=2048 peaks near 4.2*L*B*8 bytes under tracemalloc, and the tests hold
+it below 5*L*B*8.
 
 The grid must resolve the shortest delay: studies enforce at least 8 grid
 steps per delay 1/n, keeping lag resolution error subdominant at desk
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,12 @@ class StudySpec:
             raise InvalidStudy(f"every p must be finite and >= 1, got {self.p_list}")
         if self.paths < 1:
             raise InvalidStudy(f"paths must be >= 1, got {self.paths}")
+        piece, stats = (self.grid.steps + 1) * min(self.paths, _CHUNK), 2 * len(self.n_list) * self.paths
+        if max(piece, stats) * 8 > sys.maxsize:  # the (L+1, B) reference of a piece, the per-path statistics
+            raise InvalidStudy(
+                f"study too large to address: {piece} floats per piece, {stats} per-path statistics, "
+                f"at most {sys.maxsize // 8} floats per array"
+            )
         check_key_word("master_seed", self.master_seed)
         for n in self.n_list:
             m = lag_map(self.grid, n)
@@ -208,7 +215,6 @@ def _per_path_sup(
     streams = [scheme_blocks(kind, model, spec.params, spec.grid, n) for kind, n in keys]
     M, L = spec.paths, spec.grid.steps
     stats = np.frombuffer(mmap.mmap(-1, len(keys) * M * 8)).reshape(len(keys), M)
-    widest = max(lag_map(spec.grid, n) for n in spec.n_list)
     study_pid = os.getpid()
 
     def span(s0: int, s1: int) -> None:
@@ -225,20 +231,12 @@ def _per_path_sup(
                 ref = np.empty((L + 1, B))
                 for k0, k1, _, _, _, x in ref_steps(dw):
                     ref[k0:k1] = x
-            gap = np.empty((widest, B))
-            block_sup = np.empty(B)
             for row, blocks in zip(stats, streams):
                 sup = row[s:e]
                 sup[:] = 0.0  # every |.| is >= +0.0, so 0 is the fold's identity
                 for k0, k1, _, _, _, x in blocks(dw):
-                    g = gap[: k1 - k0]
-                    if against_reference:
-                        np.subtract(x, ref[k0:k1], out=g)
-                        np.abs(g, out=g)
-                    else:
-                        np.abs(x, out=g)
-                    np.maximum.reduce(g, axis=0, out=block_sup)
-                    np.maximum(sup, block_sup, out=sup)
+                    d = x - ref[k0:k1] if against_reference else x
+                    np.maximum(sup, np.abs(d).max(axis=0), out=sup)  # max is maximum.reduce: NaN stays
             if not np.isfinite(stats[:, s:e]).all():
                 return
 

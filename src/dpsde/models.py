@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnknownModel
+from .errors import InvalidModulus, UnknownModel
 
 __all__ = [
     "Rho1",
@@ -68,7 +68,7 @@ class Rho2:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon <= _INV_E):
-            raise ValueError(f"epsilon must be in (0, 1/e], got {self.epsilon}")
+            raise InvalidModulus(f"epsilon must be in (0, 1/e], got {self.epsilon}")
 
 
 @dataclass(frozen=True)

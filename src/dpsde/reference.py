@@ -20,22 +20,22 @@ The cases are exhaustive and mutually exclusive; ties resolve to (i) where
 all three formulas coincide.  At time zero the equation itself forces
 X_0 = x0 / (1 - alpha - beta) (both extrema equal the state there).
 
-The step is fused in-place arithmetic on preallocated (paths,) buffers.
-It forms s = x0 + Phi_{k+1}, alpha*M_k, beta*I_k and s + alpha*M_k once,
-writes D, and then overwrites D with case (iii) where D < I_k and with case
-(ii) where D > M_k, in that order, as a nested
-where(D > M_k, (ii), where(D < I_k, (iii), D)) would (both cannot hold,
-since I_k <= M_k).  Every sum is taken in the same order as the
+The vector step keeps only the state, the (1, paths) arrays Phi, M, I
+and X, updated in place; all else lives for one step.  It forms
+s = x0 + Phi_{k+1}, alpha*M_k, beta*I_k and s + alpha*M_k once, writes D
+into X, then overwrites it with case (iii) where D < I_k and then with
+case (ii) where D > M_k, as where(D > M_k, (ii), where(D < I_k, (iii), D))
+would (both cannot hold, since I_k <= M_k).  Sums keep the order of the
 formulas above, so the result is bit for bit the unfused case analysis,
 which the tests keep as an oracle.  reference_steps checks the parameters
-and builds a stream, which yields the state after every step as a one-row
-block, under the block protocol stated in dpsde.driver; solve_reference_batch
+and builds a stream yielding the state after every step as a one-row
+block, under the block protocol of dpsde.driver; solve_reference_batch
 collects all four components, and a strong-error study keeps only X.
 
 A run on exactly one path (solve_reference, dpsde simulate --scheme
 reference, or a one-path study) takes a plain Python-float loop
 inside the same stream instead, and yields all L+1 rows as one block: with
-one element per buffer, the fused step's twenty-odd ufunc calls are all
+one element per array, the vector step's sixteen ufunc calls are all
 overhead.  The choice depends on the path count alone.  The loop does the
 same IEEE-754 double operations in the same order
 (phi + (drift*h + diffusion*dW), s = x0 + phi,
@@ -126,27 +126,17 @@ def reference_steps(model, params, grid):
         big_i = np.full((1, B), c0)
         x = np.full((1, B), c0)
         yield 0, 1, phi, big_m, big_i, x
-        inc, noise = np.empty((1, B)), np.empty((1, B))
-        s, a_m, b_i, s_am = np.empty((1, B)), np.empty((1, B)), np.empty((1, B)), np.empty((1, B))
-        up, dn = np.empty((1, B), dtype=bool), np.empty((1, B), dtype=bool)
         for k in range(L):
             t_k = k * h
-            np.multiply(drift(t_k, x), h, out=inc)
-            np.multiply(diffusion(t_k, x), dw[k : k + 1], out=noise)
-            np.add(inc, noise, out=inc)
-            np.add(phi, inc, out=phi)
-            np.add(x0, phi, out=s)
-            np.multiply(alpha, big_m, out=a_m)
-            np.multiply(beta, big_i, out=b_i)
-            np.add(s, a_m, out=s_am)
+            phi += drift(t_k, x) * h + diffusion(t_k, x) * dw[k : k + 1]
+            s = x0 + phi
+            b_i = beta * big_i
+            s_am = s + alpha * big_m
             np.add(s_am, b_i, out=x)  # D: no extremum moves
-            np.greater(x, big_m, out=up)
-            np.less(x, big_i, out=dn)
-            # a new minimum first, then a new maximum over it, as in
-            # where(up, new max, where(dn, new min, D))
+            up, dn = x > big_m, x < big_i
+            # a new minimum, then a new maximum over it: where(up, max, where(dn, min, D))
             np.divide(s_am, one_m_beta, out=x, where=dn)
-            np.add(s, b_i, out=s_am)
-            np.divide(s_am, one_m_alpha, out=x, where=up)
+            np.divide(s + b_i, one_m_alpha, out=x, where=up)
             np.copyto(big_m, x, where=up)
             np.copyto(big_i, x, where=dn)
             yield k + 1, k + 2, phi, big_m, big_i, x

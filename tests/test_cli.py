@@ -482,6 +482,40 @@ def test_grid_steps_beyond_one_paths_increments_exits_2_before_work(capsys, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["converge", "compare"])
+@pytest.mark.parametrize("option,value", [
+    ("--grid-steps", str(2**58)),  # a 256-path piece's (L+1, 256) reference is 2**69 bytes
+    ("--paths", str(10**19)),  # the per-path statistics are 2 * 4 * 8 * 10**19 bytes
+])
+def test_study_beyond_the_address_space_exits_2_before_work(capsys, tmp_path, monkeypatch, command, option, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("study work started for arrays no process can address")
+
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_work)
+    monkeypatch.setattr(dpsde.experiments, "_per_path_sup", no_work)
+    code, out, err = run_cli(capsys, command, option, value, "--workers", "1",
+                             "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("dpsde: error: InvalidStudy: study too large to address") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,error", [
+    (("simulate", "--n", str(10**400)), "DelayTooFine: delay 1/"),
+    (("converge", "--n-list", f"8,16,{10**400}"), "DelayTooFine: delay 1/"),
+    (("simulate", "--horizon", "1e-310"), "DelayNotAligned: delay 1/8 exceeds the horizon 1e-310"),
+    (("converge", "--horizon", "1e-310", "--paths", "4"), "DelayNotAligned: delay 1/8 exceeds the horizon 1e-310"),
+], ids=["simulate-huge-n", "converge-huge-n", "simulate-tiny-horizon", "converge-tiny-horizon"])
+def test_delay_beyond_the_floats_exits_2(capsys, tmp_path, args, error):
+    # n * T cannot be a float, or L / (n * T) is inf: lag_map decides in exact arithmetic
+    outs = ["--out", str(tmp_path / "x")] if args[0] == "simulate" else [
+        "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json")]
+    code, out, err = run_cli(capsys, *args, *outs)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"dpsde: error: {error}") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_that_is_not_utf8_exits_2(capsys, tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_bytes(b"alpha = 0.5 # \xff\n")
@@ -895,11 +929,14 @@ _BAD_VALUES = {
     "alpha": _floats_in(min_value=0.7) | _NON_FINITE | _NOT_A_NUMBER,  # rho >= 1 at beta=-1 from 2/3 on
     "beta": _floats_in(min_value=0.5) | _NON_FINITE | _NOT_A_NUMBER,  # rho >= 1 at alpha=0.6 from 0.4 on
     "x0": _floats_in().filter(lambda v: float(v) != 0.0) | _NON_FINITE | _NOT_A_NUMBER,  # scheme new needs x0=0
-    "horizon": _floats_in(max_value=0.0) | _NON_FINITE | _NOT_A_NUMBER,
+    # a horizon below 1/8 is shorter than the longest default delay 1/8, down to subnormals where L/(n*T) is inf
+    "horizon": _floats_in(max_value=0.0) | _floats_in(min_value=0.0, max_value=0.1, exclude_min=True, exclude_max=True)
+               | _NON_FINITE | _NOT_A_NUMBER,
     "grid_steps": st.integers(max_value=0).map(str) | st.integers(min_value=2**60).map(str) | _NOT_A_NUMBER,
-    "n": st.integers(max_value=0).map(str) | st.integers(min_value=4097).map(str) | st.just("3") | _NOT_A_NUMBER,
+    "n": st.integers(max_value=0).map(str) | st.integers(min_value=4097).map(str) | st.integers(min_value=2**1024).map(str)
+         | st.just("3") | _NOT_A_NUMBER,
     "n_list": st.sampled_from(["", ",", "8,,16,32", "8,16,32,"])
-              | _list_with(st.integers(max_value=0) | st.integers(min_value=513))
+              | _list_with(st.integers(max_value=0) | st.integers(min_value=513) | st.integers(min_value=2**1024))
               | st.lists(st.integers(1, 64), min_size=1).map(lambda ns: ",".join(map(str, ns + ns[:1])))
               | _list_with(_NOT_A_NUMBER),
     "p_list": st.sampled_from(["", "2,,4", "2,4,", "2,2"])

@@ -72,6 +72,17 @@ def test_lag_map_non_unit_horizon():
     assert lag_map(make_grid(4096, 0.5), 8) == 1024
 
 
+def test_lag_map_beyond_the_floats():
+    # n * T is no float, or L / (n * T) overflows to inf: the rule is applied in exact arithmetic
+    with pytest.raises(DelayTooFine):
+        lag_map(make_grid(2048, 1.0), 10**400)
+    for horizon in (1e-310, 5e-324):
+        with pytest.raises(DelayNotAligned, match="exceeds the horizon"):
+            lag_map(make_grid(2048, horizon), 8)
+    # h = 2**-1024 and a delay of 1/2**1024 are one step, although neither n nor L/h is a float
+    assert lag_map(make_grid(2**24, 2.0**-1000), 2**1024) == 1
+
+
 def test_clamped_lag_is_monotone_and_explicit():
     m = lag_map(make_grid(256, 1.0), 16)
     prev = 0

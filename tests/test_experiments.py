@@ -29,6 +29,7 @@ from dpsde.errors import (
     UnknownScheme,
 )
 from dpsde.experiments import (
+    _CHUNK,
     StudySpec,
     compare_schemes,
     default_study,
@@ -101,6 +102,18 @@ def test_spec_rejects_bad_p_and_paths():
 def test_spec_rejects_repeats_non_finite_p_and_seeds_outside_64_bits(field, value, error):
     with pytest.raises(error):
         small_spec(**{field: value})
+
+
+def test_spec_rejects_arrays_beyond_the_address_space():
+    # building a spec allocates nothing, so the sizes at the edge are cheap to try
+    words = sys.maxsize // 8
+    assert small_spec(n_list=(1, 2, 4, 8), paths=words // 8).paths == words // 8
+    with pytest.raises(InvalidStudy, match="too large to address"):
+        small_spec(n_list=(1, 2, 4, 8), paths=words // 8 + 1)  # 2 kinds x 4 n x paths statistics
+    edge = words // _CHUNK - 1  # a piece's (L+1, _CHUNK) reference just fits at L = edge
+    assert edge % 2 == 0 and small_spec(grid=make_grid(edge, 1.0), n_list=(1, 2), paths=_CHUNK).grid.steps == edge
+    with pytest.raises(InvalidStudy, match="too large to address"):
+        small_spec(grid=make_grid(edge + 1, 1.0), n_list=(1,), paths=_CHUNK)
 
 
 @pytest.mark.parametrize("study,scheme", [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import eval_modulus, verify_regularity
+from dpsde.errors import DPSDEError, InvalidModulus
 from dpsde.models import CoefficientModel, Lipschitz, Modulus, Rho1, Rho2, builtin_catalog, get_model
 
 
@@ -38,6 +39,14 @@ def test_rho2_epsilon_domain():
         Rho2(0.5)  # above 1/e
     with pytest.raises(ValueError):
         Rho2(0.0)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 0.5, 0.0, -0.1, float("nan")])
+def test_rho2_bad_epsilon_is_a_domain_error(epsilon):
+    # a DPSDEError like every deliberate raise, and still a ValueError for older callers
+    with pytest.raises(InvalidModulus, match=r"epsilon must be in \(0, 1/e\]") as caught:
+        Rho2(epsilon)
+    assert isinstance(caught.value, DPSDEError) and isinstance(caught.value, ValueError)
 
 
 def test_negative_input_rejected():
