@@ -1,11 +1,12 @@
 """Approximation schemes and convergence studies for doubly perturbed SDEs.
 
 The state is perturbed by alpha times its running maximum and beta times
-its running minimum; coefficients may be Lipschitz or concave-modulus
-regular.  The package provides delay-based (Caratheodory) approximation
-schemes built on running-extrema representations, a closed-form-case
-reference solver for the limit equation, a Skorohod reflection map, and a
-deterministic Monte Carlo harness for strong-convergence studies.
+its running minimum; the paper's theorems take Lipschitz or concave-modulus
+coefficients, and the solvers run any drift/diffusion pair.  The package
+provides delay-based (Caratheodory) approximation schemes built on
+running-extrema representations, a closed-form-case reference solver for
+the limit equation, a Skorohod reflection map, and a deterministic Monte
+Carlo harness for strong-convergence studies.
 
 Each name below loads its module on first access (PEP 562), so
 ``import dpsde`` and the parameter gate (``dpsde.validate``, the CLI's
@@ -25,7 +26,7 @@ _EXPORTS = {
                "NonFiniteStart", "NonPositiveHorizon", "NonZeroStart", "RhoTooLarge"),
     "experiments": ("ConvergenceReport", "ErrorEstimate", "RateFit", "SchemeComparison", "StudySpec",
                     "compare_schemes", "default_study", "moment_scan", "rate_fit", "run_convergence"),
-    "models": ("CoefficientModel", "Lipschitz", "Modulus", "Rho1", "Rho2", "builtin_catalog", "get_model"),
+    "models": ("CoefficientModel", "builtin_catalog", "get_model"),
     "params": ("PerturbationParams", "beyond_mao", "validate"),
     "reference": ("MaxSide", "MinSide", "exact_singly_perturbed", "solve_reference"),
     "reflect": ("skorohod_map",),

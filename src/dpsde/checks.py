@@ -16,7 +16,7 @@ from . import params as params_mod
 from .driver import generate_increments, lag_map, make_grid
 from .errors import DPSDEError
 from .models import get_model
-from .reference import MaxSide, exact_singly_perturbed, solve_reference_batch
+from .reference import MaxSide, MinSide, exact_singly_perturbed, solve_reference_batch
 from .reflect import skorohod_map
 from .scheme import simulate_new, simulate_new_batch, simulate_old_batch
 
@@ -162,15 +162,16 @@ def _check_old_new_agree() -> tuple[bool, str]:
 
 def _check_singly_perturbed() -> tuple[bool, str]:
     grid = make_grid(2048, 1.0)
-    p = params_mod.validate(0.5, 0.0, 0.0, 1.0)
     model = get_model("zero-drift-unit-diffusion")
     worst = 0.0
-    for i in range(10):
-        dw = generate_increments(99, i, grid)
-        ref = solve_reference_batch(model, p, grid, dw[None, :])[3][0]
-        exact = exact_singly_perturbed(dw, grid, MaxSide(0.5)).x
-        worst = max(worst, float(np.max(np.abs(ref - exact)) / (1.0 + np.max(np.abs(exact)))))
-    return worst <= 1e-9, f"same-grid closed-form gap {worst:.2e}"
+    for alpha, beta, side in ((0.5, 0.0, MaxSide(0.5)), (0.0, -1.0, MinSide(-1.0))):
+        p = params_mod.validate(alpha, beta, 0.0, 1.0)
+        for i in range(10):
+            dw = generate_increments(99, i, grid)
+            ref = solve_reference_batch(model, p, grid, dw[None, :])[3][0]
+            exact = exact_singly_perturbed(dw, grid, side).x
+            worst = max(worst, float(np.max(np.abs(ref - exact)) / (1.0 + np.max(np.abs(exact)))))
+    return worst <= 1e-9, f"max and min sides, same-grid closed-form gap {worst:.2e}"
 
 
 def _check_reference_crosscheck() -> tuple[bool, str]:

@@ -78,8 +78,12 @@ class InvalidOption(DPSDEError, ValueError):
 
 
 class InvalidStudy(DPSDEError, ValueError):
-    """A study with no n, a repeated n or p, a p that is not a finite value >= 1, no paths, or arrays
-    too large to address."""
+    """A study with no n, a repeated n or p, a p that is not a finite value >= 1, fewer than 2 paths, or
+    arrays too large to address."""
+
+
+class MomentOutOfRange(DPSDEError):
+    """A study row with a non-zero statistic whose largest stat**p, squared, is zero, subnormal or inf."""
 
 
 class SeedOutOfRange(DPSDEError, ValueError):
@@ -92,10 +96,6 @@ class UndefinedTimeZero(DPSDEError, ValueError):
 
 class InvalidIncrements(DPSDEError, ValueError):
     """Increments that are not 1-D or (paths, L), or whose step count is not the grid's L."""
-
-
-class InvalidModulus(DPSDEError, ValueError):
-    """A Rho2 modulus whose epsilon is outside (0, 1/e]."""
 
 
 class UnknownModel(DPSDEError, KeyError):

@@ -14,9 +14,8 @@ Determinism: each path's increments are a pure function of
 arrays ordered by path index before any reduction (numpy's pairwise
 mean/std on a fixed array is reproducible).  Forked worker processes may
 each run a contiguous span of paths, in even pieces of at most _CHUNK
-paths.  Every solver is column-independent, and a one-path study takes
-the reference's float loop, bitwise equal to its vector step, so neither
-the worker count nor the piece width can change any output bit.
+paths.  Every solver is column-independent, so neither the worker count
+nor the piece width can change any output bit.
 
 Streaming fold.  A piece of B paths writes its increments into one
 time-major (L, B) array and keeps the reference solution's X only, as an
@@ -46,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .driver import SimGrid, check_key_word, generate_increments, lag_map, make_grid
-from .errors import DegenerateFit, DelayTooFine, InvalidStudy, InvalidWorkerCount, NonFinitePath
+from .errors import DegenerateFit, DelayTooFine, InvalidStudy, InvalidWorkerCount, MomentOutOfRange, NonFinitePath
 from .models import get_model
 from .params import STOCK_STUDY, PerturbationParams, validate
 from .reference import reference_steps
@@ -91,8 +90,8 @@ class StudySpec:
                 raise InvalidStudy(f"{name} must be non-empty without repeats, got {values}")
         if not all(math.isfinite(p) and p >= 1.0 for p in self.p_list):
             raise InvalidStudy(f"every p must be finite and >= 1, got {self.p_list}")
-        if self.paths < 1:
-            raise InvalidStudy(f"paths must be >= 1, got {self.paths}")
+        if self.paths < 2:  # one path has no standard error
+            raise InvalidStudy(f"paths must be >= 2, got {self.paths}")
         piece, stats = (self.grid.steps + 1) * min(self.paths, _CHUNK), 2 * len(self.n_list) * self.paths
         if max(piece, stats) * 8 > sys.maxsize:  # the (L+1, B) reference of a piece, the per-path statistics
             raise InvalidStudy(
@@ -307,13 +306,24 @@ def rate_fit(errors) -> tuple[float, float]:
 
 
 def _table(spec: StudySpec, kind: str, stats: dict) -> tuple[ErrorEstimate, ...]:
-    """Mean and standard error of stat**p per (n, p), p-major, from the per-path stats keyed by (kind, n)."""
+    """Mean and standard error of stat**p per (n, p), p-major, from the per-path stats keyed by (kind, n).
+
+    Raises MomentOutOfRange when a row's statistics are not all zero but the
+    square of its largest stat**p is zero, subnormal or infinite: its
+    estimate or standard error would then read 0 or inf, not the moment.
+    """
     rows = []
     for p in spec.p_list:
         for n in spec.n_list:
-            values = stats[(kind, n)] ** p
+            with np.errstate(over="ignore"):  # an inf is reported below
+                values = stats[(kind, n)] ** p
+            top = float(values.max())
+            if not sys.float_info.min <= top * top < math.inf and stats[(kind, n)].any():
+                raise MomentOutOfRange(
+                    f"stat**p leaves the float range for scheme {kind!r}, n={n}, p={p}: largest {top!r}"
+                )
             est = float(np.mean(values))
-            se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+            se = float(np.std(values, ddof=1) / math.sqrt(len(values)))
             rows.append(ErrorEstimate(n=n, p=p, estimate=est, std_err=se))
     return tuple(rows)
 

@@ -33,7 +33,7 @@ block, under the block protocol of dpsde.driver; solve_reference_batch
 collects all four components, and a strong-error study keeps only X.
 
 A run on exactly one path (solve_reference, dpsde simulate --scheme
-reference, or a one-path study) takes a plain Python-float loop
+reference) takes a plain Python-float loop
 inside the same stream instead, and yields all L+1 rows as one block: with
 one element per array, the vector step's sixteen ufunc calls are all
 overhead.  The choice depends on the path count alone.  The loop does the

@@ -17,7 +17,6 @@ import numpy as np
 # the brute-force scheme, the Skorohod oracle and the parameter sampler live
 # in dpsde.checks, which `dpsde check` runs; the tests use the same copies
 from dpsde.checks import brute_new_scheme, brute_skorohod, random_valid_params  # noqa: F401
-from dpsde.models import Lipschitz, Rho1
 
 
 def clamped_lag(m: int, k: int) -> int:
@@ -255,9 +254,60 @@ def path_json_text(path_obj) -> str:
     return json.dumps(body, indent=2) + "\n"
 
 
-# The regularity spot-check.  The catalog declares each model's regularity
-# (dpsde.models.Lipschitz or Modulus) as data; these recompute the modulus
-# and test the declared inequality on random samples.
+# The paper's hypotheses on the coefficients, stated per catalog model and
+# spot-checked on random samples.  Lipschitz(K) means
+#
+#     |sigma(t,x)-sigma(t,y)| + |b(t,x)-b(t,y)| <= K |x-y|,
+#     |sigma(t,0)| + |b(t,0)| <= K,
+#
+# and Modulus(kind) means, for some p > 2 and a constant C,
+#
+#     |sigma(t,x)-sigma(t,y)|**p + |b(t,x)-b(t,y)|**p <= C * rho(|x-y|**p)
+#
+# with rho a concave non-decreasing modulus vanishing at 0: the identity
+# (Rho1) or the Yamada-Watanabe-style -u*log(u) with a linear extension
+# above a small epsilon (Rho2).  The schemes never read them.
+
+
+@dataclass(frozen=True)
+class Rho1:
+    """Identity modulus rho(u) = u (the Lipschitz-in-p'th-power case)."""
+
+
+@dataclass(frozen=True)
+class Rho2:
+    """Modulus rho(u) = -u*log(u) on (0, epsilon], linear above epsilon.
+
+    epsilon must lie in (0, 1/e] so the core branch is increasing and
+    concave up to the switch point; the linear extension continues with the
+    left derivative -log(epsilon) - 1, which makes the whole function C^1.
+    """
+
+    epsilon: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.epsilon <= math.exp(-1.0)):
+            raise ValueError(f"epsilon must be in (0, 1/e], got {self.epsilon}")
+
+
+@dataclass(frozen=True)
+class Lipschitz:
+    K: float
+
+
+@dataclass(frozen=True)
+class Modulus:
+    kind: Rho1 | Rho2
+
+
+REGULARITY = {
+    "zero-drift-unit-diffusion": Lipschitz(1.0),
+    "unit-drift-no-noise": Lipschitz(1.0),
+    "affine": Lipschitz(1.5),  # K = max(0.5+0.2, 1.0+0.5) is tight
+    "gbm": Lipschitz(0.25),
+    "bounded-trig": Lipschitz(2.0),
+    "log-lipschitz": Modulus(Rho2(0.1)),
+}
 
 
 def eval_modulus(kind, u):
@@ -300,11 +350,15 @@ def verify_regularity(
     horizon: float = 1.0,
     radius: float = 10.0,
     p: float = 4.0,
+    regularity: Lipschitz | Modulus | None = None,
 ) -> RegularityReport:
-    """Spot-check the declared regularity on random (t, x, y) triples.
+    """Spot-check a model's regularity on random (t, x, y) triples.
 
-    For Lipschitz(K) models the declared inequality is checked directly and
-    the worst relative excess is reported.  For Modulus models the constant
+    The hypothesis is ``regularity`` if given (for a model built inside a
+    test), else ``REGULARITY[model.id]``.
+
+    For Lipschitz(K) the inequality is checked directly and
+    the worst relative excess is reported.  For Modulus the constant
     C is fitted as the largest sample ratio
     ``(|dsigma|^p + |db|^p) / rho(|x-y|^p)`` (the modulus bound holds up to a
     constant, so none is assumed); the report then carries that constant and
@@ -313,6 +367,8 @@ def verify_regularity(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if regularity is None:
+        regularity = REGULARITY[model.id]
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, horizon, size=samples)
     x = rng.uniform(-radius, radius, size=samples)
@@ -320,8 +376,8 @@ def verify_regularity(
     d_sig = np.abs(np.asarray(model.diffusion(t, x)) - np.asarray(model.diffusion(t, y)))
     d_b = np.abs(np.asarray(model.drift(t, x)) - np.asarray(model.drift(t, y)))
 
-    if isinstance(model.regularity, Lipschitz):
-        K = model.regularity.K
+    if isinstance(regularity, Lipschitz):
+        K = regularity.K
         lhs = d_sig + d_b
         rhs = K * np.abs(x - y)
         rel = (lhs - rhs) / np.maximum(rhs, 1.0)
@@ -332,7 +388,7 @@ def verify_regularity(
         worst = max(float(np.max(rel)), float(np.max(rel_zero)), 0.0)
         return RegularityReport(max_violation=worst, fitted_constant=None, samples=samples)
 
-    kind = model.regularity.kind
+    kind = regularity.kind
     gap_p = np.abs(x - y) ** p
     lhs = d_sig**p + d_b**p
     denom = np.asarray(eval_modulus(kind, gap_p))

@@ -230,6 +230,30 @@ def test_every_public_name_is_its_home_modules_object():
         dpsde.no_such_name
 
 
+def test_every_public_name_has_a_reader_outside_the_tests():
+    # no public API that only tests call: each exported name is read by another module of the
+    # package, by the benchmark or by the acceptance suite.  An AST, not a word search: prose
+    # such as "non-Lipschitz" is no reader, and Python 3.11's tokenize does not split f-strings
+    import ast
+
+    import dpsde
+
+    repo = Path(__file__).resolve().parents[1]
+    src = repo / "src" / "dpsde"
+    read = {}
+    for path in [*src.glob("*.py"), *(repo / "benchmarks").glob("*.py"), repo / "tests" / "test_acceptance.py"]:
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        read[path] = {n.id for n in nodes if isinstance(n, ast.Name)}
+        read[path] |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        read[path] |= {n.name for n in nodes if isinstance(n, ast.alias)}
+
+    def has_reader(name, home):
+        return any(name in names for path, names in read.items() if path not in (src / "__init__.py", src / f"{home}.py"))
+
+    unread = [name for name, home in dpsde._HOME.items() if not has_reader(name, home)]
+    assert unread == []
+
+
 def test_config_file_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(
@@ -338,13 +362,12 @@ def test_simulate_new_scheme_rejects_nonzero_x0_before_work(capsys, tmp_path, mo
 
 def test_converge_non_finite_path_exits_2(capsys, tmp_path, monkeypatch):
     import dpsde.experiments
-    from dpsde.models import CoefficientModel, Lipschitz
+    from dpsde.models import CoefficientModel
 
     nan_late = CoefficientModel(
         id="nan-after-half",
         drift=lambda t, x: np.where(t > 0.5, np.nan, 0.0) + 0.0 * x,
         diffusion=lambda t, x: 1.0 + 0.0 * x,
-        regularity=Lipschitz(1.0),
     )
     monkeypatch.setattr(dpsde.experiments, "get_model", lambda model_id: nan_late)
     out_csv = tmp_path / "x.csv"
@@ -479,6 +502,19 @@ def test_grid_steps_beyond_one_paths_increments_exits_2_before_work(capsys, tmp_
     code, out, err = run_cli(capsys, command, "--grid-steps", str(2**60), *outs)
     assert (code, out) == (2, "")
     assert err.startswith("dpsde: error: InvalidGrid: steps must be at most") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,where", [
+    (["--paths", "64", "--grid-steps", "512", "--p-list", "700"], "n=8, p=700.0"),  # rows of error=0.0
+    (["--paths", "256", "--grid-steps", "1024", "--p-list", "300"], "n=64, p=300.0"),  # 6.47e-189 with std_err=0.0
+])
+def test_moments_outside_the_float_range_exit_2(capsys, tmp_path, argv, where):
+    code, out, err = run_cli(capsys, "converge", *argv, "--workers", "1",
+                             "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"dpsde: error: MomentOutOfRange: stat**p leaves the float range for scheme 'new', {where}")
+    assert len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -941,7 +977,7 @@ _BAD_VALUES = {
               | _list_with(_NOT_A_NUMBER),
     "p_list": st.sampled_from(["", "2,,4", "2,4,", "2,2"])
               | _list_with(_floats_in(max_value=0.999) | _NON_FINITE | _NOT_A_NUMBER),
-    "paths": st.integers(max_value=0).map(str) | _NOT_A_NUMBER,
+    "paths": st.integers(max_value=1).map(str) | _NOT_A_NUMBER,
     "seed": st.integers(max_value=-1).map(str) | st.integers(min_value=2**64).map(str) | _NOT_A_NUMBER,
     "scheme": _WORDS.filter(lambda t: t not in ("new", "old", "general", "reference")),
     "path_index": st.integers(max_value=-1).map(str) | st.integers(min_value=2**64).map(str) | _NOT_A_NUMBER,

@@ -22,6 +22,7 @@ from dpsde.errors import (
     DelayTooFine,
     InvalidStudy,
     InvalidWorkerCount,
+    MomentOutOfRange,
     NonFinitePath,
     NonZeroStart,
     SeedOutOfRange,
@@ -37,7 +38,7 @@ from dpsde.experiments import (
     rate_fit,
     run_convergence,
 )
-from dpsde.models import CoefficientModel, Lipschitz, get_model
+from dpsde.models import CoefficientModel, get_model
 from dpsde.reference import solve_reference_batch
 from dpsde.scheme import scheme_blocks, simulate_general_x0_batch, simulate_new_batch, simulate_old_batch
 
@@ -83,8 +84,9 @@ def test_spec_rejects_new_scheme_with_nonzero_x0():
 def test_spec_rejects_bad_p_and_paths():
     with pytest.raises(InvalidStudy):
         small_spec(p_list=(0.5,))
-    with pytest.raises(InvalidStudy):
-        small_spec(paths=0)
+    for paths in (0, 1):  # one path has no standard error
+        with pytest.raises(InvalidStudy, match="paths must be >= 2"):
+            small_spec(paths=paths)
     with pytest.raises(UnknownScheme):
         small_spec(scheme="euler")
 
@@ -135,6 +137,29 @@ def test_strong_error_zero_for_degenerate_dynamics():
     # identically zero, the self-comparison limit of the estimator
     (e,) = run_convergence(small_spec(model_id="gbm", n_list=(8,))).errors
     assert e.estimate == 0.0 and e.std_err == 0.0
+
+
+@pytest.mark.parametrize("largest,p,ok", [
+    (2.0**-511, 1.0, True),  # squared: 2**-1022, the smallest normal float
+    (2.0**-512, 1.0, False),  # squared: subnormal
+    (2.0**-1074, 1.0, False),  # squared: zero
+    (2.0**511, 1.0, True),
+    (2.0**512, 1.0, False),  # squared: inf
+    (1e-3, 700.0, False),  # stat**p is zero for a non-zero statistic
+    (1e3, 200.0, False),  # stat**p is inf
+    (0.0, 700.0, True),  # an all-zero row is exact
+    (0.5, 100.0, True),
+])
+def test_table_rejects_moments_outside_the_float_range(largest, p, ok):
+    spec = small_spec(n_list=(8, 16), p_list=(p,))
+    stats = {("new", 8): np.zeros(3), ("new", 16): np.array([largest, 0.0, largest / 2])}
+    if ok:
+        zero, row = dpsde.experiments._table(spec, "new", stats)
+        assert (zero.n, zero.estimate, zero.std_err, row.n) == (8, 0.0, 0.0, 16)
+        assert (row.estimate > 0.0) == (row.std_err > 0.0) == (largest > 0.0)
+        return
+    with pytest.raises(MomentOutOfRange, match=rf"scheme 'new', n=16, p={p}: largest "):
+        dpsde.experiments._table(spec, "new", stats)
 
 
 def test_degenerate_coupling_estimates_are_float_noise():
@@ -385,7 +410,6 @@ def nan_after_half(condition=lambda x: True):
         id="nan-after-half",
         drift=lambda t, x: np.where((t > 0.5) & condition(x), np.nan, 0.0) + 0.0 * x,
         diffusion=lambda t, x: 1.0 + 0.0 * x,
-        regularity=Lipschitz(1.0),
     )
 
 
@@ -633,21 +657,6 @@ def test_one_delay_runs_only_that_delay(monkeypatch):
         (e,) = run_convergence(small_spec(paths=300, n_list=(n,))).errors
         assert calls == expected([("reference",), ("new", n)])
         assert np.float64(e.estimate).view(np.int64) == np.mean(full[(spec.scheme, n)] ** 2.0).view(np.int64)
-
-
-def test_one_path_study_gives_the_vector_step_bits():
-    # only a one-path study runs a one-path piece, whose reference takes the
-    # Python-float loop; its gap must be the one from the vector step,
-    # run at B=2 on a duplicated column
-    spec = small_spec(model_id="bounded-trig", params=validate(-2.0, 0.5, 0.0, 1.0), paths=1)
-    gaps = dpsde.experiments._per_path_sup(spec, ("new",), True)
-    model = get_model(spec.model_id)
-    dw = generate_increments(spec.master_seed, 0, spec.grid)
-    ref = solve_reference_batch(model, spec.params, spec.grid, [dw, dw])[3][0]
-    for n in spec.n_list:
-        x = simulate_new_batch(model, spec.params, spec.grid, n, [dw])[3][0]
-        want = np.max(np.abs(x - ref))
-        assert np.float64(gaps[("new", n)][0]).view(np.int64) == want.view(np.int64), n
 
 
 def test_each_span_runs_as_even_pieces_of_at_most_256_paths(monkeypatch):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import eval_modulus, verify_regularity
-from dpsde.errors import DPSDEError, InvalidModulus
-from dpsde.models import CoefficientModel, Lipschitz, Modulus, Rho1, Rho2, builtin_catalog, get_model
+from _oracles import REGULARITY, Lipschitz, Modulus, Rho1, Rho2, eval_modulus, verify_regularity
+from dpsde.models import CoefficientModel, builtin_catalog, get_model
 
 
 def test_rho1_is_identity():
@@ -34,19 +33,10 @@ def test_rho2_linear_branch_continuous_above_epsilon():
     assert eval_modulus(Rho2(eps), 0.4) == pytest.approx(rho_eps + slope * 0.3, rel=1e-13)
 
 
-def test_rho2_epsilon_domain():
-    with pytest.raises(ValueError):
-        Rho2(0.5)  # above 1/e
-    with pytest.raises(ValueError):
-        Rho2(0.0)
-
-
-@pytest.mark.parametrize("epsilon", [1.0, 0.5, 0.0, -0.1, float("nan")])
-def test_rho2_bad_epsilon_is_a_domain_error(epsilon):
-    # a DPSDEError like every deliberate raise, and still a ValueError for older callers
-    with pytest.raises(InvalidModulus, match=r"epsilon must be in \(0, 1/e\]") as caught:
+@pytest.mark.parametrize("epsilon", [1.0, 0.5, 0.0, -0.1, float("nan")])  # 0.5 is above 1/e
+def test_rho2_epsilon_domain(epsilon):
+    with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1/e\]"):
         Rho2(epsilon)
-    assert isinstance(caught.value, DPSDEError) and isinstance(caught.value, ValueError)
 
 
 def test_negative_input_rejected():
@@ -128,9 +118,8 @@ def test_verify_regularity_affine_analytic_constant():
         id="affine-k3",
         drift=lambda t, x: 1.0 + 2.0 * x,
         diffusion=lambda t, x: 0.0 + 1.0 * x,
-        regularity=Lipschitz(3.0),
     )
-    report = verify_regularity(model, 1000, 7)
+    report = verify_regularity(model, 1000, 7, regularity=Lipschitz(3.0))
     assert report.max_violation <= 1e-12
 
 
@@ -141,10 +130,12 @@ def test_verify_regularity_log_lipschitz_fitted_constant():
 
 
 def test_catalog_regularity_passes_at_scale():
+    # every catalog model states its hypothesis, so a new model without one fails here
+    assert set(REGULARITY) == {m.id for m in builtin_catalog()}
     for model in builtin_catalog():
         report = verify_regularity(model, 10_000, 7)
-        if isinstance(model.regularity, Lipschitz):
+        if isinstance(REGULARITY[model.id], Lipschitz):
             assert report.max_violation <= 1e-12, model.id
         else:
-            assert isinstance(model.regularity, Modulus)
+            assert isinstance(REGULARITY[model.id], Modulus)
             assert report.max_violation == 0.0 and math.isfinite(report.fitted_constant), model.id

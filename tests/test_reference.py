@@ -7,7 +7,7 @@ from _oracles import implicit_step, random_valid_params, step_reference
 from dpsde import beyond_mao, builtin_catalog, validate
 from dpsde.driver import brownian_values, coarsen_values, generate_increments, make_grid
 from dpsde.errors import AlphaOutOfRange, BetaOutOfRange
-from dpsde.models import CoefficientModel, Lipschitz, get_model
+from dpsde.models import CoefficientModel, get_model
 from dpsde.reference import (
     MaxSide,
     MinSide,
@@ -23,7 +23,6 @@ def const_model(b: float, s: float) -> CoefficientModel:
         id=f"const-{b}-{s}",
         drift=lambda t, x: b + 0.0 * x,
         diffusion=lambda t, x: s + 0.0 * x,
-        regularity=Lipschitz(1.0),
     )
 
 
@@ -135,6 +134,28 @@ def test_solver_matches_closed_form_on_same_grid():
         assert np.max(np.abs(ref.x - exact.x)) <= 1e-10 * scale
 
 
+def test_singly_perturbed_check_holds_both_sides(monkeypatch):
+    # dpsde check holds the solver to the closed form with beta = 0 and with alpha = 0
+    import dpsde.checks
+
+    sides = []
+
+    def recording(dw, grid, side):
+        sides.append(side)
+        return exact_singly_perturbed(dw, grid, side)
+
+    monkeypatch.setattr(dpsde.checks, "exact_singly_perturbed", recording)
+    ok, detail = dpsde.checks._check_singly_perturbed()
+    assert ok, detail
+    assert sides == [MaxSide(0.5)] * 10 + [MinSide(-1.0)] * 10
+
+    def wrong_min_side(dw, grid, side):
+        return exact_singly_perturbed(dw, grid, MinSide(-0.5) if isinstance(side, MinSide) else side)
+
+    monkeypatch.setattr(dpsde.checks, "exact_singly_perturbed", wrong_min_side)
+    assert not dpsde.checks._check_singly_perturbed()[0]
+
+
 def test_grid_bias_shrinks_against_fine_truth():
     # sup-gap to the closed form evaluated on a 16x finer coupled path decays
     # roughly like sqrt(h) when the solver grid refines 4x
@@ -236,7 +257,6 @@ def test_single_path_loop_matches_vector_step_and_oracle_bitwise():
         id="time-dependent",
         drift=lambda t, x: t * x,
         diffusion=lambda t, x: 1.0 + t * np.sin(x),
-        regularity=Lipschitz(2.0),
     )
     seen_beyond_mao = 0
     for model in builtin_catalog() + [time_dependent]:

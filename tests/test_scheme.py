@@ -13,7 +13,7 @@ from _oracles import (
 from dpsde import beyond_mao, builtin_catalog, validate
 from dpsde.driver import brownian_values, generate_increments, lag_map, make_grid, single_path
 from dpsde.errors import DelayNotAligned, DPSDEError
-from dpsde.models import CoefficientModel, Lipschitz, get_model
+from dpsde.models import CoefficientModel, get_model
 from dpsde.reference import MaxSide, exact_singly_perturbed
 from dpsde.scheme import (
     scheme_blocks,
@@ -30,7 +30,6 @@ def const_model(b: float, s: float) -> CoefficientModel:
         id=f"const-{b}-{s}",
         drift=lambda t, x: b + 0.0 * x,
         diffusion=lambda t, x: s + 0.0 * x,
-        regularity=Lipschitz(max(abs(b) + abs(s), 1e-12)),
     )
 
 
@@ -267,7 +266,6 @@ def test_block_kernel_matches_step_oracles_bitwise():
         id="time-dependent",
         drift=lambda t, x: t * x,
         diffusion=lambda t, x: 1.0 + t * np.sin(x),
-        regularity=Lipschitz(2.0),
     )
     models = builtin_catalog() + [time_model]
     # (L, T, n): m = L/(nT) in {1, 7, 8, L} and one partial last block (m=64)
