@@ -92,7 +92,8 @@ _COMMANDS = {
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(?:inf|nan)", re.IGNORECASE)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(filled=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The dpsde parser: every subcommand, with options only for those in filled."""
     parser = argparse.ArgumentParser(
         prog="dpsde",
         description="Delay-based approximation schemes and convergence studies "
@@ -101,6 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, names) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
+        if command not in filled:
+            continue
         p._negative_number_matcher = _NEGATIVE_NUMBER
         if names:
             p.add_argument("--config", help="key = value config file; flags override it")
@@ -249,7 +252,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # options only for the subcommand named first: the whole parser costs about 1 ms
+    args = _build_parser(argv[:1]).parse_args(argv)
     try:
         return _HANDLERS[args.command](_settings(args))
     except (DPSDEError, OSError, MemoryError) as exc:

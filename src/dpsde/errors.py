@@ -66,7 +66,7 @@ class UnknownFormat(DPSDEError, ValueError):
 
 
 class InvalidWorkerCount(DPSDEError, ValueError):
-    """A worker count below 1."""
+    """A worker count outside 1..64, or above 1 without os.fork."""
 
 
 class UnknownScheme(DPSDEError, ValueError):

@@ -66,6 +66,7 @@ __all__ = [
 
 _CHUNK = 256
 _MIN_SPAN = 64  # the fewest paths worth a worker process
+_MAX_WORKERS = 64
 _MIN_STEPS_PER_DELAY = 8
 
 
@@ -192,9 +193,9 @@ def _per_path_sup(
     sup_k |X^n_k|.  The arrays, ordered by path index, are the rows (one per
     (kind, n), in study order) of one array in an anonymous shared mapping,
     which forked spans fill in place.  Raises InvalidWorkerCount for
-    workers < 1, or > 1 where os.fork is missing, and whatever building the
-    solvers raises (NonZeroStart, UndefinedTimeZero, ...), before any
-    increment is drawn or any process forked.
+    workers outside 1.._MAX_WORKERS, or > 1 where os.fork is missing, and
+    whatever building the solvers raises (NonZeroStart, UndefinedTimeZero,
+    ...), before any increment is drawn or any process forked.
 
     The paths split into w = min(workers, max(1, paths // _MIN_SPAN))
     contiguous spans (see _in_spans), each run in order as the fewest even
@@ -204,8 +205,8 @@ def _per_path_sup(
     study order, that is bad there, whatever the worker count.  A forked
     span whose study process is gone leaves before its next piece.
     """
-    if workers < 1:
-        raise InvalidWorkerCount(f"workers must be >= 1, got {workers!r}")
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise InvalidWorkerCount(f"workers must be in 1..{_MAX_WORKERS}, got {workers!r}")
     if workers > 1 and not hasattr(os, "fork"):
         raise InvalidWorkerCount(f"workers={workers} needs os.fork, which this platform lacks")
     model = get_model(spec.model_id)

@@ -21,16 +21,20 @@ all three formulas coincide.  At time zero the equation itself forces
 X_0 = x0 / (1 - alpha - beta) (both extrema equal the state there).
 
 The vector step keeps only the state, the (1, paths) arrays Phi, M, I
-and X, updated in place; all else lives for one step.  It forms
-s = x0 + Phi_{k+1}, alpha*M_k, beta*I_k and s + alpha*M_k once, writes D
-into X, then overwrites it with case (iii) where D < I_k and then with
-case (ii) where D > M_k, as where(D > M_k, (ii), where(D < I_k, (iii), D))
-would (both cannot hold, since I_k <= M_k).  Sums keep the order of the
-formulas above, so the result is bit for bit the unfused case analysis,
-which the tests keep as an oracle.  reference_steps checks the parameters
-and builds a stream yielding the state after every step as a one-row
-block, under the block protocol of dpsde.driver; solve_reference_batch
-collects all four components, and a strong-error study keeps only X.
+and X, updated in place, and h, x0, alpha, beta, 1-alpha and 1-beta as
+(1, paths) rows, since numpy takes an array operand faster than a Python
+float; all else lives for one step.  It forms s = x0 + Phi_{k+1} (Phi
+itself when x0 is +-0.0: Phi starts at +0.0 and is never -0.0, so the sum
+is Phi bit for bit), alpha*M_k, beta*I_k and s + alpha*M_k once, writes D
+into X, then overwrites it by np.putmask, cheaper than a masked divide,
+with case (iii) where D < I_k and then with case (ii) where D > M_k, as
+where(D > M_k, (ii), where(D < I_k, (iii), D)) would (both cannot hold,
+since I_k <= M_k).  Sums keep the order of the formulas above, so the
+result is bit for bit the unfused case analysis, which the tests keep as
+an oracle.  reference_steps checks the parameters and builds a stream
+yielding the state after every step as a one-row block, under the block
+protocol of dpsde.driver; solve_reference_batch collects all four
+components, and a strong-error study keeps only X.
 
 A run on exactly one path (solve_reference, dpsde simulate --scheme
 reference) takes a plain Python-float loop
@@ -121,6 +125,11 @@ def reference_steps(model, params, grid):
                 xs.append(x)
             yield 0, L + 1, *(np.array(column)[:, None] for column in (phis, big_ms, big_is, xs))
             return
+        # the constants as (1, B) rows, since numpy takes an array operand
+        # faster than a Python float
+        h_row, x0_row, a_row, b_row, oma_row, omb_row = (
+            np.full((1, B), v) for v in (h, x0, alpha, beta, one_m_alpha, one_m_beta)
+        )
         phi = np.zeros((1, B))
         big_m = np.full((1, B), c0)
         big_i = np.full((1, B), c0)
@@ -128,15 +137,16 @@ def reference_steps(model, params, grid):
         yield 0, 1, phi, big_m, big_i, x
         for k in range(L):
             t_k = k * h
-            phi += drift(t_k, x) * h + diffusion(t_k, x) * dw[k : k + 1]
-            s = x0 + phi
-            b_i = beta * big_i
-            s_am = s + alpha * big_m
+            phi += drift(t_k, x) * h_row + diffusion(t_k, x) * dw[k : k + 1]
+            # Phi starts at +0.0 and is never -0.0, so +-0.0 + Phi is Phi bit for bit
+            s = phi if x0 == 0.0 else x0_row + phi
+            b_i = b_row * big_i
+            s_am = s + a_row * big_m
             np.add(s_am, b_i, out=x)  # D: no extremum moves
             up, dn = x > big_m, x < big_i
             # a new minimum, then a new maximum over it: where(up, max, where(dn, min, D))
-            np.divide(s_am, one_m_beta, out=x, where=dn)
-            np.divide(s + b_i, one_m_alpha, out=x, where=up)
+            np.putmask(x, dn, s_am / omb_row)
+            np.putmask(x, up, (s + b_i) / oma_row)
             np.copyto(big_m, x, where=up)
             np.copyto(big_i, x, where=dn)
             yield k + 1, k + 2, phi, big_m, big_i, x

@@ -935,6 +935,24 @@ def test_negative_exponent_value_and_help():
     assert code == 0 and out.startswith("usage: dpsde validate") and err == ""
 
 
+def test_one_subcommand_parser_prints_the_full_parsers_help():
+    # main fills in the options of the subcommand named first only
+    def help_text(parser, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        return out.getvalue()
+
+    full = cli._build_parser()
+    assert help_text(cli._build_parser([]), ["--help"]) == help_text(full, ["--help"])
+    assert run_main(["--help"]) == (0, help_text(full, ["--help"]), "")
+    for command in cli._COMMANDS:
+        want = help_text(full, [command, "--help"])
+        assert command in want and want.startswith(f"usage: dpsde {command}")
+        assert help_text(cli._build_parser([command]), [command, "--help"]) == want, command
+        assert run_main([command, "--help"]) == (0, want, ""), command
+
+
 @pytest.mark.parametrize("alpha,beta,line", [
     ("-inf", "-1", "verdict=reject reason=AlphaOutOfRange: alpha must be finite and < 1, got -inf\n"),
     ("0", "-inf", "verdict=reject reason=BetaOutOfRange: beta must be finite and < 1, got -inf\n"),
@@ -981,7 +999,7 @@ _BAD_VALUES = {
     "seed": st.integers(max_value=-1).map(str) | st.integers(min_value=2**64).map(str) | _NOT_A_NUMBER,
     "scheme": _WORDS.filter(lambda t: t not in ("new", "old", "general", "reference")),
     "path_index": st.integers(max_value=-1).map(str) | st.integers(min_value=2**64).map(str) | _NOT_A_NUMBER,
-    "workers": st.integers(max_value=0).map(str) | _NOT_A_NUMBER,
+    "workers": st.integers(max_value=0).map(str) | st.integers(min_value=65).map(str) | _NOT_A_NUMBER,
     "format": _WORDS.filter(lambda t: t not in ("csv", "json")),
 }
 _CHECKED = [(command, name) for command in ("simulate", "converge", "compare") for name in cli._COMMANDS[command][1]]

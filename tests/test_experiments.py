@@ -684,16 +684,28 @@ def test_each_span_runs_as_even_pieces_of_at_most_256_paths(monkeypatch):
         assert widths == want, workers
 
 
+def _no_work(*args):
+    raise AssertionError("work started for an invalid worker count")
+
+
 @pytest.mark.parametrize("study", [run_convergence, compare_schemes, moment_scan])
 @pytest.mark.parametrize("workers", [0, -1])
 def test_study_rejects_worker_count_below_one_before_work(monkeypatch, study, workers):
-    def no_work(*args):
-        raise AssertionError("work started for an invalid worker count")
-
-    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_work)
-    monkeypatch.setattr(os, "fork", no_work)
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", _no_work)
+    monkeypatch.setattr(os, "fork", _no_work)
     with pytest.raises(InvalidWorkerCount):
         study(small_spec(), workers=workers)
+
+
+@pytest.mark.parametrize("study", [run_convergence, compare_schemes, moment_scan])
+@pytest.mark.parametrize("workers", [65, 10**6])
+def test_study_rejects_worker_count_above_the_ceiling_before_work(monkeypatch, study, workers):
+    # only rejected counts here: an accepted count in the hundreds would fork that many processes
+    assert dpsde.experiments._MAX_WORKERS == 64
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", _no_work)
+    monkeypatch.setattr(os, "fork", _no_work)
+    with pytest.raises(InvalidWorkerCount, match=r"workers must be in 1\.\.64, got"):
+        study(small_spec(paths=10**5), workers=workers)
 
 
 def test_report_keeps_skipped_fits_with_reason():

@@ -218,7 +218,8 @@ def test_fused_step_matches_implicit_step_oracle_bitwise():
     seen_beyond_mao = 0
     for model in builtin_catalog():
         for paths in (1, 5, 64):  # 64: one span of a compare-fine study
-            for x0 in (0.0, float(rng.normal())):
+            # x0 = +-0.0 takes the s = Phi shortcut of the vector step
+            for x0 in (0.0, -0.0, float(rng.normal())):
                 p = random_valid_params(rng, x0=x0)
                 seen_beyond_mao += beyond_mao(p)
                 dw = rng.normal(0.0, np.sqrt(grid.step_size), size=(paths, grid.steps))

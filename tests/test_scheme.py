@@ -16,6 +16,7 @@ from dpsde.errors import DelayNotAligned, DPSDEError
 from dpsde.models import CoefficientModel, get_model
 from dpsde.reference import MaxSide, exact_singly_perturbed
 from dpsde.scheme import (
+    _running,
     scheme_blocks,
     simulate_general_x0,
     simulate_general_x0_batch,
@@ -261,39 +262,70 @@ def test_batch_matches_single_paths():
 
 
 def test_block_kernel_matches_step_oracles_bitwise():
-    # int64 views, so a -0.0 where the step recursion writes 0.0 fails too
+    # int64 views, so a -0.0 where the step recursion writes 0.0 fails too;
+    # zero increments leave ties at +-0.0 in the running extrema
     time_model = CoefficientModel(
         id="time-dependent",
         drift=lambda t, x: t * x,
         diffusion=lambda t, x: 1.0 + t * np.sin(x),
     )
     models = builtin_catalog() + [time_model]
-    # (L, T, n): m = L/(nT) in {1, 7, 8, L} and one partial last block (m=64)
-    grids = [(24, 1.0, 24), (56, 1.0, 8), (64, 1.0, 8), (40, 1.0, 1), (96, 0.75, 2)]
+    # (L, T, n): m = L/(nT) in {1, 7, 8, 15, 16, 31, L} (doubling scans of
+    # 2**j - 1, 2**j and 2**j + 1 rows) and one partial last block (m=64)
+    grids = [(24, 1.0, 24), (56, 1.0, 8), (64, 1.0, 8), (40, 1.0, 1), (96, 0.75, 2),
+             (45, 1.0, 3), (64, 1.0, 4), (62, 1.0, 2)]
     rng = np.random.default_rng(43)
     seen_beyond_mao = 0
     for model in models:
         for L, T, n in grids:
             grid = make_grid(L, T)
             h, m = grid.step_size, lag_map(grid, n)
-            for paths in (1, 5):
-                dw = rng.normal(0.0, np.sqrt(h), size=(paths, L))
-                lb = np.ascontiguousarray(dw.T)
+            for paths in (1, 5, 64):
+                random_dw = rng.normal(0.0, np.sqrt(h), size=(paths, L))
                 p0 = random_valid_params(rng, horizon=T)
                 px = random_valid_params(rng, x0=float(rng.normal()), horizon=T)
+                pz = random_valid_params(rng, x0=-0.0, horizon=T)
                 seen_beyond_mao += beyond_mao(p0) + beyond_mao(px)
-                cases = [
-                    (simulate_new_batch, p0, step_new_kernel(model, p0.alpha, p0.beta, h, m, lb)),
-                    (simulate_old_batch, px, step_old_kernel(model, px.alpha, px.beta, px.x0, h, m, lb)),
-                    (
-                        simulate_general_x0_batch,
-                        px,
-                        step_general_kernel(model, px.alpha, px.beta, px.x0, h, m, lb),
-                    ),
-                ]
-                for batch_fn, p, expected in cases:
-                    got = batch_fn(model, p, grid, n, dw)
-                    for a, b in zip(got, expected):
-                        assert a.shape == (paths, L + 1)
-                        assert np.array_equal(a.view(np.int64), b.T.view(np.int64)), (model.id, L, n, batch_fn)
+                for dw in (random_dw, np.zeros((paths, L))):
+                    lb = np.ascontiguousarray(dw.T)
+                    cases = [(simulate_new_batch, p0, step_new_kernel(model, p0.alpha, p0.beta, h, m, lb))]
+                    for p in (px, pz):
+                        cases += [
+                            (simulate_old_batch, p, step_old_kernel(model, p.alpha, p.beta, p.x0, h, m, lb)),
+                            (
+                                simulate_general_x0_batch,
+                                p,
+                                step_general_kernel(model, p.alpha, p.beta, p.x0, h, m, lb),
+                            ),
+                        ]
+                    for batch_fn, p, expected in cases:
+                        got = batch_fn(model, p, grid, n, dw)
+                        for a, b in zip(got, expected):
+                            assert a.shape == (paths, L + 1)
+                            assert np.array_equal(a.view(np.int64), b.T.view(np.int64)), (model.id, L, n, batch_fn, p)
     assert seen_beyond_mao >= 50
+
+
+def test_running_matches_accumulate_bitwise():
+    # every prefix must pick the element the sequential fold picks: the later
+    # of two equal values (+0.0 against -0.0 included) and the first NaN,
+    # whatever its sign or payload
+    rng = np.random.default_rng(61)
+    payload_nan = np.array([0x7FF8000000000001]).view(np.float64)[0]
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, payload_nan, np.inf, -np.inf, 1.0, -1.0])
+    lengths = sorted({2**j + d for j in range(7) for d in (-1, 0, 1)} - {0, 127, 128})
+    assert lengths[0] == 1 and lengths[-1] == 65
+    for rows in lengths:
+        for width in (1, 3, 64):
+            pool = np.concatenate([specials, rng.normal(size=4)])
+            a = rng.choice(pool, size=(rows, width))
+            a[:, 0] = rng.choice(specials[:2], size=rows)  # a column of signed-zero ties only
+            for op in (np.maximum, np.minimum):
+                want = op.accumulate(a, axis=0)
+                got = _running(op, a.copy(), np.empty_like(a))
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (op, rows, width)
+                # the kernel's layout: two (rows, width) halves, scanned along axis 1 together
+                stacked = np.stack([a, a[::-1]])
+                got = _running(op, stacked.copy(), np.empty_like(stacked))
+                for half, column in zip(got, stacked):
+                    assert np.array_equal(half.view(np.int64), op.accumulate(column, axis=0).view(np.int64))
