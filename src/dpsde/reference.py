@@ -26,10 +26,11 @@ and X, updated in place, and h, x0, alpha, beta, 1-alpha and 1-beta as
 float; all else lives for one step.  It forms s = x0 + Phi_{k+1} (Phi
 itself when x0 is +-0.0: Phi starts at +0.0 and is never -0.0, so the sum
 is Phi bit for bit), alpha*M_k, beta*I_k and s + alpha*M_k once, writes D
-into X, then overwrites it by np.putmask, cheaper than a masked divide,
-with case (iii) where D < I_k and then with case (ii) where D > M_k, as
-where(D > M_k, (ii), where(D < I_k, (iii), D)) would (both cannot hold,
-since I_k <= M_k).  Sums keep the order of the formulas above, so the
+into X, then overwrites it with case (iii) where D < I_k and then with
+case (ii) where D > M_k, as where(D > M_k, (ii), where(D < I_k, (iii), D))
+would (both cannot hold, since I_k <= M_k), and copies X into M or I where
+it moved.  Each masked write is an np.putmask, cheaper than a masked
+divide or copyto.  Sums keep the order of the formulas above, so the
 result is bit for bit the unfused case analysis, which the tests keep as
 an oracle.  reference_steps checks the parameters and builds a stream
 yielding the state after every step as a one-row block, under the block
@@ -147,8 +148,8 @@ def reference_steps(model, params, grid):
             # a new minimum, then a new maximum over it: where(up, max, where(dn, min, D))
             np.putmask(x, dn, s_am / omb_row)
             np.putmask(x, up, (s + b_i) / oma_row)
-            np.copyto(big_m, x, where=up)
-            np.copyto(big_i, x, where=dn)
+            np.putmask(big_m, up, x)
+            np.putmask(big_i, dn, x)
             yield k + 1, k + 2, phi, big_m, big_i, x
 
     return steps
