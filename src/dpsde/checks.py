@@ -200,13 +200,13 @@ _CHECKS = [
 ]
 
 
-def run_all_checks(printer=print) -> bool:
+def run_all_checks() -> bool:
     """Run every built-in check; print one PASS/FAIL line each, with its duration."""
     all_ok = True
     for name, fn in _CHECKS:
         t0 = time.perf_counter()
         ok, detail = fn()
         elapsed = time.perf_counter() - t0
-        printer(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({elapsed:.3f} s)")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({elapsed:.3f} s)")
         all_ok = all_ok and ok
     return all_ok

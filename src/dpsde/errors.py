@@ -78,8 +78,8 @@ class InvalidOption(DPSDEError, ValueError):
 
 
 class InvalidStudy(DPSDEError, ValueError):
-    """A study with no n, a repeated n or p, a p that is not a finite value >= 1, fewer than 2 paths, or
-    arrays too large to address."""
+    """A study with no n, a repeated n or p, a p that is not a finite value >= 1, fewer than 2 paths, a
+    grid horizon other than its parameters' horizon, or arrays too large to address."""
 
 
 class MomentOutOfRange(DPSDEError):

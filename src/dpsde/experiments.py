@@ -93,6 +93,8 @@ class StudySpec:
             raise InvalidStudy(f"every p must be finite and >= 1, got {self.p_list}")
         if self.paths < 2:  # one path has no standard error
             raise InvalidStudy(f"paths must be >= 2, got {self.paths}")
+        if self.grid.horizon != self.params.horizon:  # the solvers run on one, the report states the other
+            raise InvalidStudy(f"grid horizon {self.grid.horizon!r} is not the parameters' {self.params.horizon!r}")
         piece, stats = (self.grid.steps + 1) * min(self.paths, _CHUNK), 2 * len(self.n_list) * self.paths
         if max(piece, stats) * 8 > sys.maxsize:  # the (L+1, B) reference of a piece, the per-path statistics
             raise InvalidStudy(

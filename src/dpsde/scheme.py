@@ -7,8 +7,9 @@ maximum and beta times its running minimum:
           + alpha * max_{s<=t} X_s + beta * min_{s<=t} X_s.
 
 All schemes evaluate the coefficients at the delayed state X(s - 1/n).
-Writing Phi for the delayed drift+diffusion integral, the running-extrema
-scheme (x0 = 0) maintains the triple (Phi, M, I):
+Writing Phi for the delayed drift+diffusion integral, a left-point (Ito)
+sum over the increments, the running-extrema scheme (x0 = 0) maintains the
+triple (Phi, M, I):
 
     M_k = (max_{j<=k} [Phi_j + beta * I_{lag+(j)}])^+ / (1 - alpha)
     I_k = (max_{j<=k} [-Phi_j - alpha * M_{lag+(j)}])^+ / (beta - 1)
@@ -32,36 +33,36 @@ and all three variants advance a whole block per Python iteration
 (ceil(L/m) iterations per run; the last block is partial when L/m is not
 an integer): one coefficient evaluation on the (m, paths) lagged rows with
 t as an (m, 1) column, Phi from one np.add.accumulate over
-[Phi_{k0-1}, increments...], and each running extremum as an inclusive
-scan of np.maximum (np.minimum for the plain scheme's minimum) over
-[carry, arguments...].  The scans run by doubling (_running):
-ceil(log2(m+1)) elementwise passes over the whole block, each with the
-earlier operand first, since numpy's accumulate runs one column at a time,
-about ten times slower per element than an elementwise pass.  Max and min
-are exact and resolve every tie (+0.0 against -0.0, two NaNs) to the same
-element under any grouping, so every prefix equals the left fold.  Phi
-keeps np.add.accumulate: a float sum depends on its grouping, so it must
-stay the sequential left fold.  Every other operation is elementwise in
-the same order as the step-by-step recursion, so the result is
-bit-for-bit the step-by-step one; the tests hold the step-by-step loops
-as oracles.
+[Phi_{k0-1}, increments...], and both running extrema as one inclusive
+scan of np.maximum over [carry, arguments...]; the plain scheme scans -X
+and negates the result, bit for bit its running minimum (negation flips
+only the sign bit, and np.minimum picks the mirrored element of a pair).
+The scan runs by doubling (_running): ceil(log2(m+1)) elementwise passes
+over the whole block, each with the earlier operand first, since numpy's
+accumulate runs one column at a time, about ten times slower per element
+than an elementwise pass.  Max is exact and resolves every tie (+0.0
+against -0.0, two NaNs) to the same element under any grouping, so every
+prefix equals the left fold.  Phi keeps np.add.accumulate: a float sum
+depends on its grouping, so it must stay the sequential left fold.  Every
+other operation is elementwise in the same order as the step-by-step
+recursion, so the result is bit-for-bit the step-by-step one; the tests
+hold the step-by-step loops as oracles.
 
 Streaming.  A block reads nothing older than the m+1 rows before it: the
 raw lags k0-1-m..k1-2-m and the clamped lags k0-m..k1-1-m all lie in the
 previous block or in that block's first row.  So the kernel keeps two
 (4, m+1, paths) buffers of (Phi, M, I, X), the current block and the
 previous one, where row 0 of a buffer repeats the last row of the block
-before it, and swaps them after each block; the arguments of both running
-extrema share one (2, m+1, paths) buffer, and their scans a second one.
-It yields each block's rows as views into the current buffer, under the
-block protocol stated in dpsde.driver, so its memory is O(m * paths)
-whatever L is.  scheme_blocks checks the parameters and works out m, the
-start state and the times column once, when the stream is built; each run
-of the stream allocates its own buffers.
-
-Increments enter integrals by left-point (Ito) sums.  Raw lags (integrand
-arguments) fall back to the constant pre-time segment when they reach
-negative times; clamped lags never do.
+before it, and swaps them after each block.  The previous buffer starts as
+the pre-time segment, steps -m..0: raw lags reaching negative times read
+the constant history, clamped lags the time-zero state.  So the first
+block runs the same code as the others.  The scan's arguments and its
+second buffer take two (2, m+1, paths) buffers more.  It yields each
+block's rows as views into the current buffer, under the block protocol
+of dpsde.driver, so its memory is O(m * paths) whatever L is.
+scheme_blocks checks the parameters and works out m, the start state and
+the times column once, when the stream is built; each run of the stream
+allocates its own buffers.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ def scheme_blocks(kind, model, params, grid, n):
         # "new" is the general formulas at x0 = +0.0: Phi starts at +0.0, so
         # it is never -0.0 and 0.0 + Phi is Phi bit for bit
         hist = x0 = 0.0 if kind == "new" else x0
-        start = (x0,) * 5
+        # "old" scans -X for its running minimum, so that carry starts at -x0
+        start = (x0, -x0 if kind == "old" else x0, x0, x0, x0)
     drift, diffusion = model.drift, model.diffusion
     # t_k = k*h for k = 0..L-1; row k0-1.. of a block is arange(k0-1, k1-1)*h
     times = (np.arange(grid.steps) * h)[:, None]
@@ -129,75 +131,70 @@ def scheme_blocks(kind, model, params, grid, n):
         check_steps(dw, grid)
         L, B = dw.shape
         # (phi, big_m, big_i, x) of the current and the previous block; row 0
-        # of a buffer is the last row of the block before it
+        # of a buffer is the last row of the block before it.  prev starts as
+        # steps -m..0: the raw X lags in rows 0..m-1, the clamped M and I lags
+        # in rows 1..m, the time-zero state in row m; nothing reads the rest
         cur = np.empty((4, m + 1, B))
         prev = np.empty((4, m + 1, B))
-        # [carry, arguments...] of the two running extrema, one after the
-        # other, and the second buffer of their scans; for "new" and
-        # "general" the carry is the running max before clamp and division
+        # [carry, arguments...] of the two running maxima (the carry before
+        # clamp, division or negation), and the second buffer of their scan
         ud = np.empty((2, m + 1, B))
         scratch = np.empty((2, m + 1, B))
-        phi, big_m, big_i, x = cur
-        phi[0] = 0.0
-        ud[0, 0], ud[1, 0], big_m[0], big_i[0], x[0] = start
-        yield 0, 1, phi[:1], big_m[:1], big_i[:1], x[:1]
+        prev[0, m], prev[3, :m] = 0.0, hist
+        ud[0, 0], ud[1, 0], prev[1, 1:], prev[2, 1:], prev[3, m] = start
+        yield 0, 1, *prev[:, m:]
         for k0 in range(1, L + 1, m):
             k1 = min(k0 + m, L + 1)
             w = k1 - k0
-            if k0 > m:
-                prev, cur = cur, prev
-                cur[:, 0] = prev[:, m]
-                xlag = prev[3, :w]
-                lag = prev[:, 1 : w + 1]
-            else:  # first block: raw lags before time zero, clamped lags at row 0
-                xlag = np.full((w, B), hist)
-                lag = cur[:, :1]
+            cur[:, 0] = prev[:, m]
+            xlag, lag = prev[3, :w], prev[:, 1 : w + 1]
             phi, big_m, big_i, x = cur[:, : w + 1]
             t = times[k0 - 1 : k1 - 1]
             np.add(drift(t, xlag) * h, diffusion(t, xlag) * dw[k0 - 1 : k1 - 1], out=phi[1:])
             np.add.accumulate(phi, axis=0, out=phi)
             p = phi[1:]
             base = p if kind == "new" else x0 + p
-            args, other = ud[:, : w + 1], scratch[:, : w + 1]
+            args = ud[:, : w + 1]
             if kind == "old":
-                args[:, 1:] = lag[3]
-                u = _running(np.maximum, args[:1], other[:1])[0]
-                d = _running(np.minimum, args[1:], other[1:])[0]
-                big_m[1:] = u[1:]
-                big_i[1:] = d[1:]
+                args[0, 1:] = lag[3]
+                np.negative(lag[3], out=args[1, 1:])
             else:
                 np.add(base, beta * lag[2], out=args[0, 1:])
                 # -Phi, not -0.0 - Phi, which would keep the sign of a NaN
                 np.subtract(-p if kind == "new" else -x0 - p, alpha * lag[1], out=args[1, 1:])
-                u, d = _running(np.maximum, args, other)
-                g, q = u[1:], d[1:]
+            scan = _running(args, scratch[:, : w + 1])
+            g, q = scan[:, 1:]
+            if kind == "old":
+                big_m[1:] = g
+                np.negative(q, out=big_i[1:])
+            else:
                 if kind == "new":
                     g, q = np.maximum(g, 0.0, out=big_m[1:]), np.maximum(q, 0.0, out=big_i[1:])
                 np.divide(g, 1.0 - alpha, out=big_m[1:])
                 np.divide(q, beta - 1.0, out=big_i[1:])
             np.add(base, alpha * big_m[1:], out=x[1:])
             x[1:] += beta * big_i[1:]
-            ud[0, 0] = u[w]
-            ud[1, 0] = d[w]
+            ud[:, 0] = scan[:, w]
             yield k0, k1, p, big_m[1:], big_i[1:], x[1:]
+            prev, cur = cur, prev
 
     return blocks
 
 
-def _running(op, a, scratch):
-    """The inclusive running op (np.maximum or np.minimum) of a along its
-    time axis, the second to last, by doubling.
+def _running(a, scratch):
+    """The inclusive running maximum of a along its time axis, the second to
+    last, by doubling.
 
-    Pass j sets row i to op(row i - 2**j, row i) for i >= 2**j, earlier
-    operand first, and keeps rows i < 2**j, alternating between a and
+    Pass j sets row i to np.maximum(row i - 2**j, row i) for i >= 2**j,
+    earlier operand first, and keeps rows i < 2**j, alternating between a and
     scratch (same shape); it returns whichever holds the result after
-    ceil(log2(rows)) passes, and overwrites both.  op ties resolve to its
-    second operand and two NaNs to its first, the same element under any
-    grouping, so every row is bit for bit op.accumulate's left fold.
+    ceil(log2(rows)) passes, and overwrites both.  Ties resolve to the second
+    operand and two NaNs to the first, the same element under any grouping,
+    so every row is bit for bit np.maximum.accumulate's left fold.
     """
     rows, shift = a.shape[-2], 1
     while shift < rows:
-        op(a[..., :-shift, :], a[..., shift:, :], out=scratch[..., shift:, :])
+        np.maximum(a[..., :-shift, :], a[..., shift:, :], out=scratch[..., shift:, :])
         scratch[..., :shift, :] = a[..., :shift, :]
         a, scratch = scratch, a
         shift *= 2

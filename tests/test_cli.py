@@ -254,6 +254,25 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     assert unread == []
 
 
+def test_every_name_the_benchmark_imports_resolves():
+    # the benchmark imports solvers inside its functions, so a removed name breaks
+    # only its run; walk every `from dpsde... import` node, nested ones included
+    import ast
+    import importlib
+
+    repo = Path(__file__).resolve().parents[1]
+    imported = [
+        (node.module, alias.name)
+        for path in (repo / "benchmarks").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dpsde"
+        for alias in node.names
+    ]
+    assert ("dpsde.scheme", "simulate_old_batch") in imported
+    missing = [(module, name) for module, name in imported if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
 def test_config_file_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(
@@ -769,6 +788,26 @@ def test_config_value_goes_through_the_flag_parser_before_work(capsys, tmp_path,
     assert code == 2
     assert err.startswith("dpsde: error: InvalidOption: config key 'alpha'") and "'abc'" in err
     assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_line_without_equals_exits_2_before_work(capsys, tmp_path, monkeypatch):
+    import dpsde.experiments
+
+    def no_increments(*args):
+        raise AssertionError("increments drawn for a config line without '='")
+
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("grid_steps = 256\npaths 10\n")
+    code, out, err = run_cli(
+        capsys,
+        "converge", "--config", str(cfg), "--n-list", "8,16,32",
+        "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "dpsde: error: InvalidOption: config line is not 'key = value': 'paths 10'"
     assert list(tmp_path.iterdir()) == [cfg]
 
 

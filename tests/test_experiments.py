@@ -98,6 +98,7 @@ def test_spec_rejects_bad_p_and_paths():
     ("p_list", (2.0, float("nan")), InvalidStudy),
     ("p_list", (2.0, 4.0, 2.0), InvalidStudy),
     ("p_list", (float("inf"),), InvalidStudy),
+    ("grid", make_grid(512, 2.0), InvalidStudy),  # the solvers would run on T=2, the report state T=1
     ("master_seed", -1, SeedOutOfRange),
     ("master_seed", 2**64, SeedOutOfRange),
 ])

@@ -261,9 +261,11 @@ def test_batch_matches_single_paths():
         assert np.array_equal(phi[i], path.phi)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf, cos(inf)
 def test_block_kernel_matches_step_oracles_bitwise():
     # int64 views, so a -0.0 where the step recursion writes 0.0 fails too;
-    # zero increments leave ties at +-0.0 in the running extrema
+    # zero increments leave ties at +-0.0 in the running extrema, and an inf,
+    # a -inf and a NaN increment check the sign of every NaN they leave
     time_model = CoefficientModel(
         id="time-dependent",
         drift=lambda t, x: t * x,
@@ -286,9 +288,13 @@ def test_block_kernel_matches_step_oracles_bitwise():
                 px = random_valid_params(rng, x0=float(rng.normal()), horizon=T)
                 pz = random_valid_params(rng, x0=-0.0, horizon=T)
                 seen_beyond_mao += beyond_mao(p0) + beyond_mao(px)
-                for dw in (random_dw, np.zeros((paths, L))):
+                wild_dw = random_dw.copy()
+                wild_dw.flat[rng.choice(wild_dw.size, 3, replace=False)] = (np.inf, -np.inf, np.nan)
+                for dw in (random_dw, np.zeros((paths, L)), wild_dw):
                     lb = np.ascontiguousarray(dw.T)
-                    cases = [(simulate_new_batch, p0, step_new_kernel(model, p0.alpha, p0.beta, h, m, lb))]
+                    cases = []
+                    if dw is not wild_dw:  # "new" can differ from its oracle in the sign of a NaN
+                        cases = [(simulate_new_batch, p0, step_new_kernel(model, p0.alpha, p0.beta, h, m, lb))]
                     for p in (px, pz):
                         cases += [
                             (simulate_old_batch, p, step_old_kernel(model, p.alpha, p.beta, p.x0, h, m, lb)),
@@ -315,17 +321,20 @@ def test_running_matches_accumulate_bitwise():
     specials = np.array([0.0, -0.0, np.nan, -np.nan, payload_nan, np.inf, -np.inf, 1.0, -1.0])
     lengths = sorted({2**j + d for j in range(7) for d in (-1, 0, 1)} - {0, 127, 128})
     assert lengths[0] == 1 and lengths[-1] == 65
+    # the running minimum is the negated running maximum of the negated input
+    scans = [
+        (np.maximum, lambda b: _running(b.copy(), np.empty_like(b))),
+        (np.minimum, lambda b: -_running(-b, np.empty_like(b))),
+    ]
     for rows in lengths:
         for width in (1, 3, 64):
             pool = np.concatenate([specials, rng.normal(size=4)])
             a = rng.choice(pool, size=(rows, width))
             a[:, 0] = rng.choice(specials[:2], size=rows)  # a column of signed-zero ties only
-            for op in (np.maximum, np.minimum):
+            for op, scan in scans:
                 want = op.accumulate(a, axis=0)
-                got = _running(op, a.copy(), np.empty_like(a))
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (op, rows, width)
+                assert np.array_equal(scan(a).view(np.int64), want.view(np.int64)), (op, rows, width)
                 # the kernel's layout: two (rows, width) halves, scanned along axis 1 together
                 stacked = np.stack([a, a[::-1]])
-                got = _running(op, stacked.copy(), np.empty_like(stacked))
-                for half, column in zip(got, stacked):
+                for half, column in zip(scan(stacked), stacked):
                     assert np.array_equal(half.view(np.int64), op.accumulate(column, axis=0).view(np.int64))
