@@ -238,7 +238,7 @@ def _per_path_sup(
                 sup[:] = 0.0  # every |.| is >= +0.0, so 0 is the fold's identity
                 for k0, k1, _, _, _, x in blocks(dw):
                     d = x - ref[k0:k1] if against_reference else x
-                    np.maximum(sup, np.abs(d).max(axis=0), out=sup)  # max is maximum.reduce: NaN stays
+                    np.maximum(sup, np.maximum.reduce(np.abs(d), axis=0), out=sup)  # NaN stays
             if not np.isfinite(stats[:, s:e]).all():
                 return
 

@@ -27,26 +27,33 @@ general-x0 variant whose extremum formulas carry x0 explicitly, drop the
 positive part, and start all three components from x0 / (1 - alpha - beta).
 
 Block evaluation.  Step k reads the coefficients at the raw lag k-1-m and
-the extrema at the clamped lag max(k-m, 0), both at least m steps back.
-So every input of the m steps k0..k0+m-1 is final once step k0-1 is done,
-and all three variants advance a whole block per Python iteration
-(ceil(L/m) iterations per run; the last block is partial when L/m is not
-an integer): one coefficient evaluation on the (m, paths) lagged rows with
-t as an (m, 1) column, Phi from one np.add.accumulate over
+the extrema at the clamped lag max(k-m, 0), both at least m steps back.  So
+every input of the m steps k0..k0+m-1 is final once step k0-1 is done, and
+all three variants advance a whole block per Python iteration (ceil(L/m)
+iterations per run; the last block is partial when L/m is not an integer):
+one coefficient evaluation on the (m, paths) lagged rows with t as an
+(m, 1) column, Phi from one np.add.accumulate over
 [Phi_{k0-1}, increments...], and both running extrema as one inclusive
 scan of np.maximum over [carry, arguments...]; the plain scheme scans -X
 and negates the result, bit for bit its running minimum (negation flips
 only the sign bit, and np.minimum picks the mirrored element of a pair).
-The scan runs by doubling (_running): ceil(log2(m+1)) elementwise passes
-over the whole block, each with the earlier operand first, since numpy's
-accumulate runs one column at a time, about ten times slower per element
-than an elementwise pass.  Max is exact and resolves every tie (+0.0
-against -0.0, two NaNs) to the same element under any grouping, so every
-prefix equals the left fold.  Phi keeps np.add.accumulate: a float sum
-depends on its grouping, so it must stay the sequential left fold.  Every
-other operation is elementwise in the same order as the step-by-step
-recursion, so the result is bit-for-bit the step-by-step one; the tests
-hold the step-by-step loops as oracles.
+The scan runs by doubling (_running): ceil(log2(m)) elementwise passes
+over the block's arguments, then one np.maximum of the carry against them
+all, since numpy's accumulate runs one column at a time, about ten times
+slower per element than an elementwise pass.  Pass j is a single np.maximum
+of each row and the row 2**j before it, earlier operand first; rows i <
+2**j read P rows of -inf stored before the arguments, which np.maximum
+returns the other operand against bit for bit (a NaN's sign and payload
+included), so no pass copies a head.  Max is exact and resolves every tie
+(+0.0 against -0.0, two NaNs) to the same element under any grouping, so
+every prefix equals the left fold.  Phi keeps np.add.accumulate: a float
+sum depends on its grouping, so it must stay the sequential left fold.
+Every other operation is elementwise in the same order as the step-by-step
+recursion, so with finite increments the result is bit-for-bit the
+step-by-step one; the tests hold the step-by-step loops as oracles.  Once
+non-finite increments meet, "new" can differ from its oracle in the sign
+of a NaN; every other bit, and every bit of "old" and "general", still
+match.
 
 Streaming.  A block reads nothing older than the m+1 rows before it: the
 raw lags k0-1-m..k1-2-m and the clamped lags k0-m..k1-1-m all lie in the
@@ -55,14 +62,19 @@ previous block or in that block's first row.  So the kernel keeps two
 previous one, where row 0 of a buffer repeats the last row of the block
 before it, and swaps them after each block.  The previous buffer starts as
 the pre-time segment, steps -m..0: raw lags reaching negative times read
-the constant history, clamped lags the time-zero state.  So the first
-block runs the same code as the others.  The scan's arguments and its
-second buffer take two (2, m+1, paths) buffers more.  It yields each
-block's rows as views into the current buffer, under the block protocol
-of dpsde.driver, so its memory is O(m * paths) whatever L is.
-scheme_blocks checks the parameters and works out m, the start state and
-the times column once, when the stream is built; each run of the stream
-allocates its own buffers.
+the constant history, clamped lags the time-zero state.  So the first block
+runs the same code as the others.  The scan takes a (2, 1, paths) carry and
+two (2, P+m, paths) buffers more, P the largest power of two < m: the -inf
+pad, then the arguments in one and the passes' alternate in the other; the
+carry stays out of the passes, so P is half what it would be with the
+carry scanned as row 0.  It yields each block's rows as views into the
+current buffer, under the block protocol of dpsde.driver, so its memory is
+O(m * paths) whatever L is.  scheme_blocks checks the parameters and works
+out m, the start state and the times column once, when the stream is
+built; each run of the stream allocates its own buffers, fills the pad
+once, and builds once the views a full block touches (one set per buffer
+parity, and one for a partial last block), so a block slices only the
+times column and the increments.
 """
 
 from __future__ import annotations
@@ -134,71 +146,101 @@ def scheme_blocks(kind, model, params, grid, n):
         # of a buffer is the last row of the block before it.  prev starts as
         # steps -m..0: the raw X lags in rows 0..m-1, the clamped M and I lags
         # in rows 1..m, the time-zero state in row m; nothing reads the rest
-        cur = np.empty((4, m + 1, B))
-        prev = np.empty((4, m + 1, B))
-        # [carry, arguments...] of the two running maxima (the carry before
-        # clamp, division or negation), and the second buffer of their scan
-        ud = np.empty((2, m + 1, B))
-        scratch = np.empty((2, m + 1, B))
+        bufs = np.empty((2, 4, m + 1, B))
+        # the running maxima's carry (before clamp, division or negation)
+        carry = np.empty((2, 1, B))
+        scan, pad = _scan_buffers(m, B)
+        prev = bufs[1]
         prev[0, m], prev[3, :m] = 0.0, hist
-        ud[0, 0], ud[1, 0], prev[1, 1:], prev[2, 1:], prev[3, m] = start
+        carry[0], carry[1], prev[1, 1:], prev[2, 1:], prev[3, m] = start
         yield 0, 1, *prev[:, m:]
-        for k0 in range(1, L + 1, m):
-            k1 = min(k0 + m, L + 1)
-            w = k1 - k0
-            cur[:, 0] = prev[:, m]
-            xlag, lag = prev[3, :w], prev[:, 1 : w + 1]
-            phi, big_m, big_i, x = cur[:, : w + 1]
-            t = times[k0 - 1 : k1 - 1]
-            np.add(drift(t, xlag) * h, diffusion(t, xlag) * dw[k0 - 1 : k1 - 1], out=phi[1:])
+        # one set of views per buffer parity, since cur and prev swap
+        full = [_block_views(bufs[j], bufs[1 - j], scan, carry, pad, m) for j in (0, 1)]
+        for j, k0 in enumerate(range(1, L + 1, m)):
+            w = min(m, L + 1 - k0)
+            views = full[j % 2] if w == m else _block_views(bufs[j % 2], bufs[1 - j % 2], scan, carry, pad, w)
+            head, tail, xlag, lag_m, lag_i, lag_x, phi, p, big_m, big_i, x, up, down, passes, last, g, q = views
+            np.copyto(head, tail)
+            t = times[k0 - 1 : k0 - 1 + w]
+            np.add(drift(t, xlag) * h, diffusion(t, xlag) * dw[k0 - 1 : k0 - 1 + w], out=p)
             np.add.accumulate(phi, axis=0, out=phi)
-            p = phi[1:]
             base = p if kind == "new" else x0 + p
-            args = ud[:, : w + 1]
             if kind == "old":
-                args[0, 1:] = lag[3]
-                np.negative(lag[3], out=args[1, 1:])
+                np.copyto(up, lag_x)
+                np.negative(lag_x, out=down)
             else:
-                np.add(base, beta * lag[2], out=args[0, 1:])
+                np.add(base, beta * lag_i, out=up)
                 # -Phi, not -0.0 - Phi, which would keep the sign of a NaN
-                np.subtract(-p if kind == "new" else -x0 - p, alpha * lag[1], out=args[1, 1:])
-            scan = _running(args, scratch[:, : w + 1])
-            g, q = scan[:, 1:]
+                np.subtract(-p if kind == "new" else -x0 - p, alpha * lag_m, out=down)
+            _running(passes)
             if kind == "old":
-                big_m[1:] = g
-                np.negative(q, out=big_i[1:])
+                np.copyto(big_m, g)
+                np.negative(q, out=big_i)
             else:
                 if kind == "new":
-                    g, q = np.maximum(g, 0.0, out=big_m[1:]), np.maximum(q, 0.0, out=big_i[1:])
-                np.divide(g, 1.0 - alpha, out=big_m[1:])
-                np.divide(q, beta - 1.0, out=big_i[1:])
-            np.add(base, alpha * big_m[1:], out=x[1:])
-            x[1:] += beta * big_i[1:]
-            ud[:, 0] = scan[:, w]
-            yield k0, k1, p, big_m[1:], big_i[1:], x[1:]
-            prev, cur = cur, prev
+                    g, q = np.maximum(g, 0.0, out=big_m), np.maximum(q, 0.0, out=big_i)
+                np.divide(g, 1.0 - alpha, out=big_m)
+                np.divide(q, beta - 1.0, out=big_i)
+            np.add(base, alpha * big_m, out=x)
+            x += beta * big_i
+            np.copyto(carry, last)
+            yield k0, k0 + w, p, big_m, big_i, x
 
     return blocks
 
 
-def _running(a, scratch):
-    """The inclusive running maximum of a along its time axis, the second to
-    last, by doubling.
+def _block_views(cur, prev, scan, carry, pad, w):
+    """The views one block of w steps reads and writes, in the unpacking
+    order of scheme_blocks: the head row of cur and the tail row of prev it
+    repeats, the lagged X, M, I and X rows of prev, Phi with its head row,
+    the new Phi, M, I and X rows of cur, then the scan's argument rows, its
+    passes, the carry's next value and the scanned rows."""
+    phi, big_m, big_i, x = cur[:, : w + 1]
+    args, passes, out = _scan_views(scan, carry, pad, w)
+    return (
+        cur[:, 0], prev[:, -1], prev[3, :w], *prev[1:, 1 : w + 1],
+        phi, phi[1:], big_m[1:], big_i[1:], x[1:],
+        *args, passes, out[:, w - 1 :], *out,
+    )
 
-    Pass j sets row i to np.maximum(row i - 2**j, row i) for i >= 2**j,
-    earlier operand first, and keeps rows i < 2**j, alternating between a and
-    scratch (same shape); it returns whichever holds the result after
-    ceil(log2(rows)) passes, and overwrites both.  Ties resolve to the second
-    operand and two NaNs to the first, the same element under any grouping,
-    so every row is bit for bit np.maximum.accumulate's left fold.
+
+def _scan_buffers(m, B):
+    """The two (2, P+m, B) buffers of the running maxima of a stream with
+    blocks of m rows, and P, the largest power of two < m (0 at m = 1).
+    Rows 0..P-1 of both hold -inf, the identity of max bit for bit
+    (np.maximum(-inf, v) is v, a NaN's sign and payload included), and
+    nothing writes them."""
+    pad = (1 << (m - 1).bit_length()) >> 1
+    return np.full((2, 2, pad + m, B), -np.inf), pad
+
+
+def _scan_views(scan, carry, pad, w):
+    """Views of the running maxima of carry, a (2, 1, B) row, followed by
+    rows pad..pad+w-1 of scan[0], by doubling.
+
+    Returns (args, passes, out): args is those w rows; pass j is (earlier,
+    later, dst), rows pad-2**j.. and pad.. of one buffer and rows pad.. of
+    the other, and the last pass folds the carry into the buffer that holds
+    the scan after ceil(log2(w)) passes, out.  Every shift 2**j < w <= m is
+    at most pad, so row i < 2**j is the maximum of the pad's -inf and
+    itself, that is itself, and no pass writes the pad.
     """
-    rows, shift = a.shape[-2], 1
-    while shift < rows:
-        np.maximum(a[..., :-shift, :], a[..., shift:, :], out=scratch[..., shift:, :])
-        scratch[..., :shift, :] = a[..., :shift, :]
-        a, scratch = scratch, a
-        shift *= 2
-    return a
+    rows = slice(pad, pad + w)
+    src, dst, shift, passes = scan[0], scan[1], 1, []
+    while shift < w:
+        passes.append((src[:, pad - shift : pad - shift + w], src[:, rows], dst[:, rows]))
+        src, dst, shift = dst, src, 2 * shift
+    out = src[:, rows]
+    return scan[0, :, rows], [*passes, (carry, out, out)], out
+
+
+def _running(passes):
+    """Run the doubling passes of _scan_views, one np.maximum each, earlier
+    operand first.  Ties resolve to the second operand and two NaNs to the
+    first, the same element under any grouping, so every row is bit for bit
+    np.maximum.accumulate's left fold."""
+    for earlier, later, dst in passes:
+        np.maximum(earlier, later, out=dst)
 
 
 def simulate_new_batch(
