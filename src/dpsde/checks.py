@@ -16,7 +16,7 @@ from . import params as params_mod
 from .driver import generate_increments, lag_map, make_grid
 from .errors import DPSDEError
 from .models import get_model
-from .reference import MaxSide, MinSide, exact_singly_perturbed, solve_reference_batch
+from .reference import MaxSide, MinSide, exact_singly_perturbed, solve_reference, solve_reference_batch
 from .reflect import skorohod_map
 from .scheme import simulate_new, simulate_new_batch, simulate_old_batch
 
@@ -146,7 +146,10 @@ def _check_reference_residual() -> tuple[bool, str]:
     ok = resid <= 1e-12 * scale
     ok = ok and np.array_equal(big_m, np.maximum.accumulate(x, axis=1))
     ok = ok and np.array_equal(big_i, np.minimum.accumulate(x, axis=1))
-    return ok, f"residual {resid:.2e}, extrema exact"
+    one = solve_reference(model, p, grid, dw[0])  # one path runs the Python-float loop
+    loop = np.array([one.phi, one.big_m, one.big_i, one.x])
+    ok = ok and np.array_equal(np.array([phi[0], big_m[0], big_i[0], x[0]]).view(np.int64), loop.view(np.int64))
+    return ok, f"residual {resid:.2e}, extrema exact, one-path loop bitwise"
 
 
 def _check_old_new_agree() -> tuple[bool, str]:

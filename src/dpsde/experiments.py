@@ -26,7 +26,7 @@ is exact (NaN propagates), so the per-path statistics, and every output
 bit, equal those of the full (L+1, B) scheme output.  A piece therefore
 holds about 2*L*B floats plus O(m*B) scheme state, rather than four
 (L+1, B) arrays per solver run; one 256-path piece of the stock study at
-L=2048 peaks near 4.2*L*B*8 bytes under tracemalloc, and the tests hold
+L=2048 peaks near 4.3*L*B*8 bytes under tracemalloc, and the tests hold
 it below 5*L*B*8.
 
 The grid must resolve the shortest delay: studies enforce at least 8 grid

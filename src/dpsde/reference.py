@@ -18,7 +18,10 @@ candidate:
 
 The cases are exhaustive and mutually exclusive; ties resolve to (i) where
 all three formulas coincide.  At time zero the equation itself forces
-X_0 = x0 / (1 - alpha - beta) (both extrema equal the state there).
+X_0 = x0 / (1 - alpha - beta) (both extrema equal the state there).  The
+cases decide X alone, and M_{k+1} = max(M_k, X_{k+1}) and
+I_{k+1} = min(I_k, X_{k+1}) by definition: exactly the running extrema of
+X, even where case (ii) rounds X one ulp below M_k.
 
 The vector step keeps only the state, the (1, paths) arrays Phi, M, I
 and X, updated in place, and h, x0, alpha, beta, 1-alpha and 1-beta as
@@ -26,28 +29,28 @@ and X, updated in place, and h, x0, alpha, beta, 1-alpha and 1-beta as
 float; all else lives for one step.  It forms s = x0 + Phi_{k+1} (Phi
 itself when x0 is +-0.0: Phi starts at +0.0 and is never -0.0, so the sum
 is Phi bit for bit), alpha*M_k, beta*I_k and s + alpha*M_k once, writes D
-into X, then overwrites it with case (iii) where D < I_k and then with
-case (ii) where D > M_k, as where(D > M_k, (ii), where(D < I_k, (iii), D))
-would (both cannot hold, since I_k <= M_k), and copies X into M or I where
-it moved.  Each masked write is an np.putmask, cheaper than a masked
-divide or copyto.  Sums keep the order of the formulas above, so the
-result is bit for bit the unfused case analysis, which the tests keep as
-an oracle.  reference_steps checks the parameters and builds a stream
-yielding the state after every step as a one-row block, under the block
-protocol of dpsde.driver; solve_reference_batch collects all four
-components, and a strong-error study keeps only X.
+into X, and overwrites it by np.putmask (cheaper than a masked divide or
+copyto) with case (iii) where D < I_k, then case (ii) where D > M_k (both
+cannot hold, since I_k <= M_k).  Then np.maximum(X, M, out=M) and
+np.minimum(X, I, out=I), X first: numpy returns the second operand on a
+tie, so a +-0.0 tie keeps the bits of M and I, and a NaN X makes both
+NaN.  Sums keep the order of the formulas above, so the result is bit for
+bit the unfused case analysis, which the tests keep as an oracle.
+reference_steps checks the parameters and builds a stream yielding the
+state after every step as a one-row block, under the block protocol of
+dpsde.driver; solve_reference_batch collects all four components, and a
+strong-error study keeps only X.
 
 A run on exactly one path (solve_reference, dpsde simulate --scheme
-reference) takes a plain Python-float loop
-inside the same stream instead, and yields all L+1 rows as one block: with
-one element per array, the vector step's sixteen ufunc calls are all
-overhead.  The choice depends on the path count alone.  The loop does the
-same IEEE-754 double operations in the same order
-(phi + (drift*h + diffusion*dW), s = x0 + phi,
-D = (s + alpha*M_k) + beta*I_k, the same divisors) and takes case (ii) if
-D > M_k, else case (iii) if D < I_k.  Coefficients act elementwise, so a
-float x gives the bits of the matching array element, and the tests
-compare both routes bit for bit on every catalog model.
+reference) takes a plain Python-float loop inside the same stream instead,
+and yields all L+1 rows as one block: with one element per array, the
+vector step's ufunc calls are all overhead.  The choice depends on the
+path count alone.  The loop does the same IEEE-754 double operations in
+the same order, takes case (ii) if D > M_k, else case (iii) if D < I_k,
+and sets M to M if X <= M else X (I mirrored), the element
+np.maximum(X, M) picks, ties and NaN included.  Coefficients act
+elementwise, so a float x gives the bits of the matching array element;
+the tests compare both routes bit for bit.
 
 For b = 0, sigma = 1, x0 = 0 and one vanishing parameter the solution has
 an explicit running-extremum form, exposed as exact_singly_perturbed and
@@ -116,30 +119,25 @@ def reference_steps(model, params, grid):
                 x = s_am + beta * big_i
                 if x > big_m:
                     x = (s + beta * big_i) / one_m_alpha
-                    big_m = x
                 elif x < big_i:
                     x = s_am / one_m_beta
-                    big_i = x
+                big_m = big_m if x <= big_m else x
+                big_i = big_i if x >= big_i else x
                 phis.append(phi)
                 big_ms.append(big_m)
                 big_is.append(big_i)
                 xs.append(x)
             yield 0, L + 1, *(np.array(column)[:, None] for column in (phis, big_ms, big_is, xs))
             return
-        # the constants as (1, B) rows, since numpy takes an array operand
-        # faster than a Python float
         h_row, x0_row, a_row, b_row, oma_row, omb_row = (
             np.full((1, B), v) for v in (h, x0, alpha, beta, one_m_alpha, one_m_beta)
         )
         phi = np.zeros((1, B))
-        big_m = np.full((1, B), c0)
-        big_i = np.full((1, B), c0)
-        x = np.full((1, B), c0)
+        big_m, big_i, x = (np.full((1, B), c0) for _ in range(3))
         yield 0, 1, phi, big_m, big_i, x
         for k in range(L):
             t_k = k * h
             phi += drift(t_k, x) * h_row + diffusion(t_k, x) * dw[k : k + 1]
-            # Phi starts at +0.0 and is never -0.0, so +-0.0 + Phi is Phi bit for bit
             s = phi if x0 == 0.0 else x0_row + phi
             b_i = b_row * big_i
             s_am = s + a_row * big_m
@@ -148,8 +146,8 @@ def reference_steps(model, params, grid):
             # a new minimum, then a new maximum over it: where(up, max, where(dn, min, D))
             np.putmask(x, dn, s_am / omb_row)
             np.putmask(x, up, (s + b_i) / oma_row)
-            np.putmask(big_m, up, x)
-            np.putmask(big_i, dn, x)
+            np.maximum(x, big_m, out=big_m)
+            np.minimum(x, big_i, out=big_i)
             yield k + 1, k + 2, phi, big_m, big_i, x
 
     return steps
@@ -163,9 +161,9 @@ def solve_reference_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve the limit equation on a (paths, L) batch of increments.
 
-    Returns (phi, big_m, big_i, x), each (paths, L+1); big_m/big_i are the
-    exact running extrema of x and the step identity
-    x = x0 + phi + alpha*big_m + beta*big_i holds by construction.
+    Returns (phi, big_m, big_i, x), each (paths, L+1); big_m/big_i equal
+    np.maximum/np.minimum.accumulate of x by construction (a +-0.0 tie keeps
+    the earlier zero), and x = x0 + phi + alpha*big_m + beta*big_i to roundoff.
     """
     return collect(reference_steps(model, params, grid), increments)
 

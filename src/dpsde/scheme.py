@@ -136,8 +136,7 @@ def scheme_blocks(kind, model, params, grid, n):
         # "old" scans -X for its running minimum, so that carry starts at -x0
         start = (x0, -x0 if kind == "old" else x0, x0, x0, x0)
     drift, diffusion = model.drift, model.diffusion
-    # t_k = k*h for k = 0..L-1; row k0-1.. of a block is arange(k0-1, k1-1)*h
-    times = (np.arange(grid.steps) * h)[:, None]
+    times = grid.times()[:-1, None]
 
     def blocks(dw):
         check_steps(dw, grid)

@@ -181,6 +181,9 @@ def implicit_step(x0, alpha, beta, phi_next, big_m, big_i):
 
     Inputs may be scalars or aligned arrays.  Pure case arithmetic -- no
     parameter validation, so it can be exercised on illustrative values.
+    The cases decide x_next alone; the extrema are np.maximum/np.minimum of
+    x_next and the old ones, so a case (ii) X that rounds below M leaves M
+    as it was, and a NaN X makes both NaN.
     """
     D = x0 + phi_next + alpha * big_m + beta * big_i
     up = D > big_m
@@ -190,7 +193,7 @@ def implicit_step(x0, alpha, beta, phi_next, big_m, big_i):
         (x0 + phi_next + beta * big_i) / (1.0 - alpha),
         np.where(dn, (x0 + phi_next + alpha * big_m) / (1.0 - beta), D),
     )
-    return x_next, np.where(up, x_next, big_m), np.where(dn, x_next, big_i)
+    return x_next, np.maximum(x_next, big_m), np.minimum(x_next, big_i)
 
 
 def step_reference(model, params, h, dw):

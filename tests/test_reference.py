@@ -56,6 +56,16 @@ def test_implicit_step_tie_is_interior():
     assert float(m) == 1.0
 
 
+def test_implicit_step_keeps_max_where_case_ii_rounds_below_it():
+    # D lands one ulp above M, yet (s + beta*I)/(1 - alpha) rounds below M:
+    # the running maximum must stay where it was, bit for bit
+    big_m, big_i, s = 1.3182253562629596, 0.2446437674242071, 0.7719339099293909
+    x, m, i = implicit_step(0.0, 0.6, -1.0, s, big_m, big_i)
+    assert (s + 0.6 * big_m) + -1.0 * big_i > big_m
+    assert float(x) == 1.3182253562629593 < big_m
+    assert float(m) == big_m and float(i) == big_i
+
+
 def test_zero_coefficients_zero_path():
     grid = make_grid(64, 1.0)
     p = validate(0.6, -1.0, 0.0, 1.0)
@@ -294,3 +304,87 @@ def test_single_path_loop_goes_non_finite_like_vector_step():
         assert np.all(np.isfinite(x[:21])) and np.isinf(x[21]) and np.isnan(x[-1]), model_id
         for a, b, c in zip(got, vector, oracle):
             assert same_bits(a, b.T) and same_bits(a, c.T), model_id
+
+
+def test_reference_max_holds_where_case_ii_rounds_below_it():
+    # zero drift and unit diffusion make Phi the Brownian path, so two
+    # increments place the state: step 1 sets a new maximum M_1, step 2 puts
+    # D one ulp above M_1, and case (ii) rounds X_2 below M_1 (a search over
+    # x0 and the increments at alpha=0.6, beta=-1 found this state)
+    grid = make_grid(2, 1.0)
+    p = validate(0.6, -1.0, 0.12, 1.0)
+    model = get_model("zero-drift-unit-diffusion")
+    dw = np.array([0.64, -(2.0**-53)])
+    loop = solve_reference(model, p, grid, dw)
+    d = ((p.x0 + loop.phi[2]) + p.alpha * loop.big_m[1]) + p.beta * loop.big_i[1]
+    assert d > loop.big_m[1] > loop.x[2]
+    assert loop.big_m[2] == loop.big_m[1] == 1.6857142857142855
+    assert loop.x[2] == 1.6857142857142853
+    vector = vector_steps(model, p, grid, dw[:, None])
+    for a, b in zip((loop.phi, loop.big_m, loop.big_i, loop.x), vector):
+        assert np.array_equal(a.view(np.int64), b[:, 0].view(np.int64))
+
+
+def edge_increments(rng, p, grid, paths):
+    """(paths, L) increments for zero-drift-unit-diffusion, whose Phi is the
+    Brownian path: three zero steps (ties at +-0.0 when x0 is +-0.0), then
+    normal draws mixed with steps that aim D = x0 + Phi + alpha*M + beta*I
+    within a few ulps of M_k or I_k, with the state tracked by implicit_step."""
+    dw = np.zeros((paths, grid.steps))
+    c0 = p.x0 / (1.0 - p.alpha - p.beta)
+    for row in dw:
+        phi, big_m, big_i = 0.0, c0, c0
+        for k in range(3, grid.steps):
+            if rng.random() < 0.25:
+                row[k] = rng.normal(0.0, np.sqrt(grid.step_size))
+            else:
+                edge = big_m if rng.random() < 0.5 else big_i
+                target = edge - p.x0 - p.alpha * big_m - p.beta * big_i
+                row[k] = target + int(rng.integers(-4, 5)) * np.spacing(target) - phi
+            phi = phi + row[k]
+            _, big_m, big_i = (float(v) for v in implicit_step(p.x0, p.alpha, p.beta, phi, big_m, big_i))
+    return dw
+
+
+def test_extrema_never_step_back_near_case_boundaries():
+    # M never falls and I never rises, even where the case formula rounds X
+    # to the wrong side of the extremum it moves; the vector step (B=3) and
+    # the Python-float loop (B=1) agree bit for bit, +-0.0 ties included
+    rng = np.random.default_rng(61)
+    grid = make_grid(96, 1.0)
+    model = get_model("zero-drift-unit-diffusion")
+    seen_beyond_mao = rounded_past = 0
+    for _ in range(20):
+        for x0 in (0.0, -0.0, float(rng.normal())):
+            p = random_valid_params(rng, x0=x0)
+            seen_beyond_mao += beyond_mao(p)
+            dw = edge_increments(rng, p, grid, 3)
+            phi, big_m, big_i, x = solve_reference_batch(model, p, grid, dw)
+            assert np.all(np.diff(big_m) >= 0.0) and np.all(np.diff(big_i) <= 0.0), p
+            assert np.array_equal(big_m, np.maximum.accumulate(x, axis=1)), p
+            assert np.array_equal(big_i, np.minimum.accumulate(x, axis=1)), p
+            for row in range(3):
+                loop = solve_reference_batch(model, p, grid, dw[row : row + 1])
+                for a, b in zip((phi, big_m, big_i, x), loop):
+                    assert np.array_equal(a[row].view(np.int64), b[0].view(np.int64)), (p, row)
+            d = ((p.x0 + phi[:, 1:]) + p.alpha * big_m[:, :-1]) + p.beta * big_i[:, :-1]
+            rounded_past += np.sum((d > big_m[:, :-1]) & (x[:, 1:] < big_m[:, :-1]))
+            rounded_past += np.sum((d < big_i[:, :-1]) & (x[:, 1:] > big_i[:, :-1]))
+    assert seen_beyond_mao >= 5
+    assert rounded_past >= 10
+
+
+def test_reference_check_holds_the_loop_to_the_vector_step(monkeypatch):
+    # dpsde check solves its first path again through the Python-float loop
+    # and fails on one differing bit
+    import dpsde.checks
+
+    assert dpsde.checks._check_reference_residual()[0]
+
+    def nudged(*args):
+        path = solve_reference(*args)
+        path.x[-1] = np.nextafter(path.x[-1], np.inf)
+        return path
+
+    monkeypatch.setattr(dpsde.checks, "solve_reference", nudged)
+    assert not dpsde.checks._check_reference_residual()[0]
