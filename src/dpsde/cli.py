@@ -67,7 +67,7 @@ _OPTIONS = {
     "p_list": (_floats, _STOCK["p_list"], "comma-separated moments"),
     "paths": (int, _STOCK["paths"], "Monte Carlo paths"),
     "seed": (int, _STOCK["master_seed"], "master seed"),
-    "scheme": (str, _STOCK["scheme"], "scheme variant: new, old or general; simulate also takes reference"),
+    "scheme": (str, _STOCK["scheme"], f"one of {', '.join(params_mod.SCHEME_KINDS)}; simulate also takes reference"),
     "path_index": (int, 0, "path substream index"),
     "workers": (int, 2 if hasattr(os, "fork") else 1, "worker processes"),
     "format": (str, "csv", "path output format, csv or json"),
@@ -186,7 +186,7 @@ def _cmd_simulate(s) -> int:
     from .models import get_model
     from .output import write_path_csv, write_path_json
     from .reference import reference_steps
-    from .scheme import SCHEME_KINDS, scheme_blocks
+    from .scheme import scheme_blocks
 
     writers = {"csv": write_path_csv, "json": write_path_json}
     params = params_mod.validate(s.alpha, s.beta, s.x0, s.horizon)
@@ -198,10 +198,10 @@ def _cmd_simulate(s) -> int:
     if s.scheme == "reference":
         lag_map(grid, s.n)  # the reference does not use n, but a bad n is still an error
         blocks = reference_steps(model, params, grid)
-    elif s.scheme in SCHEME_KINDS:
+    elif s.scheme in params_mod.SCHEME_KINDS:
         blocks = scheme_blocks(s.scheme, model, params, grid, s.n)
     else:
-        raise UnknownScheme(f"scheme must be one of {', '.join(SCHEME_KINDS)}, reference, got {s.scheme!r}")
+        raise UnknownScheme(f"scheme must be one of {', '.join(params_mod.SCHEME_KINDS)}, reference, got {s.scheme!r}")
     out = _out_path(s.out, f"simulate.{s.format}")
     path = single_path(blocks, grid, generate_increments(s.seed, s.path_index, grid))
     writers[s.format](path, out)

@@ -80,26 +80,35 @@ class GridPath:
     grid: SimGrid
 
 
+def whole_number(name: str, value, error: type) -> int:
+    """value as a Python int if its type is an integer type, numpy's included (it has __index__); else raise error."""
+    if not hasattr(value, "__index__"):
+        raise error(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def make_grid(steps: int, horizon: float) -> SimGrid:
-    """Build a uniform grid; raises InvalidGrid on steps < 1, on more steps than one path's
-    float64 increments can hold in an address space (8*steps > sys.maxsize), or on horizon <= 0."""
+    """Build a uniform grid; raises InvalidGrid on steps not a whole number >= 1, on more steps than one
+    path's float64 increments can hold in an address space (8*steps > sys.maxsize), or on horizon <= 0."""
+    steps = whole_number("steps", steps, InvalidGrid)
     if steps < 1:
         raise InvalidGrid(f"steps must be >= 1, got {steps}")
     if steps * 8 > sys.maxsize:
         raise InvalidGrid(f"steps must be at most {sys.maxsize // 8} for one path's increments, got {steps}")
     if not np.isfinite(horizon) or horizon <= 0.0:
         raise InvalidGrid(f"horizon must be finite and > 0, got {horizon}")
-    return SimGrid(steps=int(steps), horizon=float(horizon))
+    return SimGrid(steps=steps, horizon=float(horizon))
 
 
 def lag_map(grid: SimGrid, n: int) -> int:
     """The delay 1/n as a whole number m >= 1 of grid steps.
 
-    Requires n >= 1, delay at most the horizon, and L/(n*T) to be a positive
-    integer; raises DelayTooFine when the delay rounds below one step and
-    DelayNotAligned when it exceeds the horizon or divisibility fails.  An n
-    or L/(n*T) beyond the float range is judged by the same rule exactly.
+    Requires a whole n >= 1, delay at most the horizon, and L/(n*T) to be a
+    positive integer; raises DelayTooFine when the delay rounds below one step
+    and DelayNotAligned otherwise.  An n or L/(n*T) beyond the float range
+    is judged by the same rule exactly.
     """
+    n = whole_number("delay parameter n", n, DelayNotAligned)
     if n < 1:
         raise DelayNotAligned(f"delay parameter n must be >= 1, got {n}")
     try:
@@ -118,19 +127,19 @@ def lag_map(grid: SimGrid, n: int) -> int:
     return m
 
 
-def check_key_word(name: str, value: int) -> None:
-    """Raise SeedOutOfRange unless 0 <= value < 2**64 (one word of a Philox key)."""
+def check_key_word(name: str, value: int) -> int:
+    """value as an int; raises SeedOutOfRange unless it is a whole number in [0, 2**64), one Philox key word."""
+    value = whole_number(name, value, SeedOutOfRange)
     if not 0 <= value <= _MASK64:
         raise SeedOutOfRange(f"{name} must be in [0, 2**64), got {value!r}")
+    return value
 
 
 def _philox_key(master_seed: int, path_index: int) -> int:
     # 128-bit key: high word = seed, low word = path index.  Distinct keys
     # give statistically independent Philox streams, so per-path draws are
-    # order-independent by construction.
-    check_key_word("master_seed", master_seed)
-    check_key_word("path_index", path_index)
-    return (master_seed << 64) | path_index
+    # order-independent by construction.  Python ints: a numpy seed would shift out of its 64 bits.
+    return (check_key_word("master_seed", master_seed) << 64) | check_key_word("path_index", path_index)
 
 
 def generate_increments(master_seed: int, path_index: int, grid: SimGrid) -> np.ndarray:

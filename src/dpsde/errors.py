@@ -26,11 +26,11 @@ class NonPositiveHorizon(DPSDEError):
 
 
 class InvalidGrid(DPSDEError):
-    """Grid construction with non-positive step count or horizon."""
+    """Grid construction with a step count that is not a whole number >= 1, or a non-positive horizon."""
 
 
 class DelayNotAligned(DPSDEError):
-    """Delay 1/n is not an integer multiple of the grid step."""
+    """A delay parameter n that is not a whole number >= 1, or a delay 1/n not a whole number of grid steps."""
 
 
 class DelayTooFine(DPSDEError):
@@ -78,8 +78,8 @@ class InvalidOption(DPSDEError, ValueError):
 
 
 class InvalidStudy(DPSDEError, ValueError):
-    """A study with no n, a repeated n or p, a p that is not a finite value >= 1, fewer than 2 paths, a
-    grid horizon other than its parameters' horizon, or arrays too large to address."""
+    """A study with no n, a repeated n or p, an n or path count not a whole number, a p not finite and >= 1, under
+    2 paths, a grid horizon other than its parameters' horizon, or arrays too large to address."""
 
 
 class MomentOutOfRange(DPSDEError):
@@ -87,7 +87,7 @@ class MomentOutOfRange(DPSDEError):
 
 
 class SeedOutOfRange(DPSDEError, ValueError):
-    """A master seed or path index outside [0, 2**64), one word of the Philox key."""
+    """A master seed or path index that is not a whole number in [0, 2**64), one word of the Philox key."""
 
 
 class UndefinedTimeZero(DPSDEError, ValueError):

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import SimGrid, check_key_word, generate_increments, lag_map, make_grid
+from .driver import SimGrid, check_key_word, generate_increments, lag_map, make_grid, whole_number
 from .errors import DegenerateFit, DelayTooFine, InvalidStudy, InvalidWorkerCount, MomentOutOfRange, NonFinitePath
 from .models import get_model
 from .params import STOCK_STUDY, PerturbationParams, validate
@@ -84,6 +84,10 @@ class StudySpec:
     scheme: str = "new"
 
     def __post_init__(self) -> None:
+        # whole numbers of any integer type are kept as Python ints (the dataclass is frozen)
+        object.__setattr__(self, "n_list", tuple(whole_number("each n", n, InvalidStudy) for n in self.n_list))
+        object.__setattr__(self, "paths", whole_number("paths", self.paths, InvalidStudy))
+        object.__setattr__(self, "master_seed", check_key_word("master_seed", self.master_seed))
         get_model(self.model_id)
         check_scheme(self.scheme, self.params)
         for name, values in (("n_list", self.n_list), ("p_list", self.p_list)):  # each p has its own fit
@@ -91,6 +95,7 @@ class StudySpec:
                 raise InvalidStudy(f"{name} must be non-empty without repeats, got {values}")
         if not all(math.isfinite(p) and p >= 1.0 for p in self.p_list):
             raise InvalidStudy(f"every p must be finite and >= 1, got {self.p_list}")
+        object.__setattr__(self, "p_list", tuple(map(float, self.p_list)))
         if self.paths < 2:  # one path has no standard error
             raise InvalidStudy(f"paths must be >= 2, got {self.paths}")
         if self.grid.horizon != self.params.horizon:  # the solvers run on one, the report states the other
@@ -101,7 +106,6 @@ class StudySpec:
                 f"study too large to address: {piece} floats per piece, {stats} per-path statistics, "
                 f"at most {sys.maxsize // 8} floats per array"
             )
-        check_key_word("master_seed", self.master_seed)
         for n in self.n_list:
             m = lag_map(self.grid, n)
             if m < _MIN_STEPS_PER_DELAY:
@@ -128,11 +132,11 @@ def default_study(
     return StudySpec(
         model_id=model_id,
         params=validate(alpha, beta, x0, horizon),
-        n_list=tuple(int(n) for n in n_list),
-        p_list=tuple(float(p) for p in p_list),
-        paths=int(paths),
+        n_list=n_list,
+        p_list=p_list,
+        paths=paths,
         grid=make_grid(grid_steps, horizon),
-        master_seed=int(master_seed),
+        master_seed=master_seed,
         scheme=scheme,
     )
 

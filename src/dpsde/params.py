@@ -22,8 +22,9 @@ from types import MappingProxyType
 
 from .errors import AlphaOutOfRange, BetaOutOfRange, NonFiniteStart, NonPositiveHorizon, RhoTooLarge, UndefinedTimeZero
 
-__all__ = ["PerturbationParams", "validate", "beyond_mao", "time_zero_level", "STOCK_STUDY"]
+__all__ = ["PerturbationParams", "validate", "beyond_mao", "time_zero_level", "STOCK_STUDY", "SCHEME_KINDS"]
 
+SCHEME_KINDS = ("new", "old", "general")  # the delay schemes of dpsde.scheme, read by the CLI without numpy
 # the stock desk-scale study: experiments.default_study's defaults, and the CLI's, kept here free of numpy
 STOCK_STUDY = MappingProxyType({
     "model_id": "affine", "alpha": 0.6, "beta": -1.0, "x0": 0.0, "horizon": 1.0, "grid_steps": 4096,

@@ -104,6 +104,7 @@ def reference_steps(model, params, grid):
     c0 = time_zero_level(params)
     one_m_alpha, one_m_beta = 1.0 - alpha, 1.0 - beta
     drift, diffusion = model.drift, model.diffusion
+    times = grid.times()[:-1].tolist()
 
     def steps(dw):
         check_steps(dw, grid)
@@ -111,8 +112,7 @@ def reference_steps(model, params, grid):
         if B == 1:
             phi, big_m, big_i, x = 0.0, c0, c0, c0
             phis, big_ms, big_is, xs = [phi], [big_m], [big_i], [x]
-            for k, dw_k in enumerate(dw[:, 0].tolist()):
-                t_k = k * h
+            for t_k, dw_k in zip(times, dw[:, 0].tolist()):
                 phi = phi + (drift(t_k, x) * h + diffusion(t_k, x) * dw_k)
                 s = x0 + phi
                 s_am = s + alpha * big_m
@@ -135,8 +135,7 @@ def reference_steps(model, params, grid):
         phi = np.zeros((1, B))
         big_m, big_i, x = (np.full((1, B), c0) for _ in range(3))
         yield 0, 1, phi, big_m, big_i, x
-        for k in range(L):
-            t_k = k * h
+        for k, t_k in enumerate(times):
             phi += drift(t_k, x) * h_row + diffusion(t_k, x) * dw[k : k + 1]
             s = phi if x0 == 0.0 else x0_row + phi
             b_i = b_row * big_i

@@ -84,7 +84,7 @@ import numpy as np
 from .driver import GridPath, SimGrid, check_steps, collect, lag_map, single_path
 from .errors import NonZeroStart, UnknownScheme
 from .models import CoefficientModel
-from .params import PerturbationParams, time_zero_level
+from .params import SCHEME_KINDS, PerturbationParams, time_zero_level
 
 __all__ = [
     "simulate_new",
@@ -94,10 +94,7 @@ __all__ = [
     "simulate_general_x0_batch",
     "scheme_blocks",
     "check_scheme",
-    "SCHEME_KINDS",
 ]
-
-SCHEME_KINDS = ("new", "old", "general")
 
 
 def check_scheme(kind: str, params: PerturbationParams) -> None:
@@ -106,7 +103,7 @@ def check_scheme(kind: str, params: PerturbationParams) -> None:
     if kind not in SCHEME_KINDS:
         raise UnknownScheme(f"scheme must be one of {', '.join(SCHEME_KINDS)}, got {kind!r}")
     if kind == "new" and params.x0 != 0.0:
-        raise NonZeroStart(f"scheme 'new' requires x0 = 0, got x0={params.x0!r}; any x0 runs with --scheme general")
+        raise NonZeroStart(f"scheme 'new' requires x0 = 0, got x0={params.x0!r}; any x0 runs with scheme 'general'")
 
 
 def scheme_blocks(kind, model, params, grid, n):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -375,8 +376,66 @@ def test_simulate_new_scheme_rejects_nonzero_x0_before_work(capsys, tmp_path, mo
         "--out", str(tmp_path / "x.csv"),
     )
     assert code == 2
-    assert "NonZeroStart" in err and "--scheme general" in err
+    assert "NonZeroStart" in err and "scheme 'general'" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_compare_with_nonzero_x0_names_no_flag_it_lacks(capsys, tmp_path, monkeypatch):
+    # compare has no --scheme, so the library's NonZeroStart names the scheme, not a flag
+    def no_increments(*args):
+        raise AssertionError("increments drawn for an invalid study")
+
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", no_increments)
+    code, out, err = run_cli(
+        capsys, "compare", "--x0", "0.5", "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("dpsde: error: NonZeroStart: ") and len(err.splitlines()) == 1
+    assert "--" not in err and "scheme 'general'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_only_the_cli_names_flags_in_an_error():
+    # the library is called from Python too, where a flag such as --scheme means nothing
+    import ast
+
+    named = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                texts = [c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+                named += [(path.name, node.lineno, t) for t in texts if re.search(r"--\w", t)]
+    assert named == []
+
+
+# SHA-256 of the CSV, and of the JSON without its generated_at line, for each study below
+_PINNED_STUDY = ("--paths", "128", "--grid-steps", "512", "--n-list", "8,16,32", "--p-list", "2,4")
+_PINS = {
+    "converge": ("0df3338b2bad5fd5a5be5ab877785464ff572410135fba56823982d8c9450eaa",
+                 "46abc781de3b2a60b3f53ad41435a6d0e1812ea67f52ded8142f7ab3b49cf942"),
+    "compare": ("e3a9515bef54481bed47aa90c474dd5133c1cd31eaff8451465ade375045120f",
+                "a8b986cdc62014059cb75104b7405ef8dd11ecef3e7e09c9a91c0bd30c45c901"),
+}
+
+
+@pytest.mark.skipif((sys.version.split()[0], np.__version__) != ("3.11.7", "2.4.6"),
+                    reason="the output pins were taken with Python 3.11.7 and numpy 2.4.6")
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", ["converge", "compare"])
+def test_study_outputs_match_their_pins_bit_for_bit(capsys, tmp_path, monkeypatch, command, workers):
+    # 128 paths make two spans of 64, so --workers 2 forks
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    out_csv, out_json = tmp_path / "x.csv", tmp_path / "x.json"
+    code, _, _ = run_cli(capsys, command, *_PINNED_STUDY, "--workers", workers,
+                         "--out-csv", str(out_csv), "--out-json", str(out_json))
+    assert (code, len(forks)) == (0, int(workers) - 1)
+    body, stamps = re.subn(r'\n *"generated_at": "[^"]*",?', "", out_json.read_text())
+    assert stamps == 1
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in (out_csv.read_bytes(), body.encode()))
+    assert digests == _PINS[command]
 
 
 def test_converge_non_finite_path_exits_2(capsys, tmp_path, monkeypatch):

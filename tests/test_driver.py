@@ -83,6 +83,29 @@ def test_lag_map_beyond_the_floats():
     assert lag_map(make_grid(2**24, 2.0**-1000), 2**1024) == 1
 
 
+NOT_WHOLE = [2.5, 4096 / 3, 8.0, np.float64(8.0), float("nan"), float("inf"), float("-inf"), "8"]
+
+
+@pytest.mark.parametrize("steps", NOT_WHOLE)
+def test_make_grid_takes_only_whole_step_counts(steps):
+    # 2.5 was truncated to 2 steps; a float, NaN, inf or string count is refused where it enters
+    with pytest.raises(InvalidGrid, match="steps must be a whole number"):
+        make_grid(steps, 1.0)
+    grid = make_grid(np.int64(64), 1.0)
+    assert grid == make_grid(64, 1.0) and type(grid.steps) is int
+
+
+@pytest.mark.parametrize("n", NOT_WHOLE)
+def test_lag_map_takes_only_whole_delay_parameters(n):
+    # 4096/3 was rounded to a lag of 3 steps; every n that is not a whole number is refused
+    with pytest.raises(DelayNotAligned, match="delay parameter n must be a whole number"):
+        lag_map(make_grid(4096, 1.0), n)
+    m = lag_map(make_grid(4096, 1.0), np.int64(8))
+    assert m == 512 and type(m) is int
+    with pytest.raises(DelayTooFine):  # a whole n beyond the floats still takes the exact path
+        lag_map(make_grid(2048, 1.0), 10**400)
+
+
 def test_clamped_lag_is_monotone_and_explicit():
     m = lag_map(make_grid(256, 1.0), 16)
     prev = 0
@@ -113,6 +136,20 @@ def test_increments_reject_key_words_outside_64_bits():
         with pytest.raises(SeedOutOfRange):
             generate_increments(seed, index, grid)
     assert generate_increments(2**64 - 1, 2**64 - 1, grid).shape == (8,)
+
+
+@pytest.mark.parametrize("seed,index", [(1.5, 0), (0, 2.0), (float("nan"), 0), (0, float("inf")), ("42", 0)])
+def test_increments_take_only_whole_key_words(seed, index):
+    with pytest.raises(SeedOutOfRange, match="must be a whole number"):
+        generate_increments(seed, index, make_grid(8, 1.0))
+
+
+def test_numpy_key_words_draw_the_same_stream_as_python_ints():
+    # a numpy seed shifted left by 64 bits lost itself: np.int64(42) drew the stream of seed 0
+    grid = make_grid(64, 1.0)
+    same = generate_increments(np.int64(42), np.uint64(3), grid)
+    assert np.array_equal(same, generate_increments(42, 3, grid))
+    assert not np.array_equal(same, generate_increments(0, 3, grid))
 
 
 def test_increment_moments():

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -39,6 +40,7 @@ from dpsde.experiments import (
     run_convergence,
 )
 from dpsde.models import CoefficientModel, get_model
+from dpsde.output import write_report_csv, write_report_json
 from dpsde.reference import solve_reference_batch
 from dpsde.scheme import scheme_blocks, simulate_general_x0_batch, simulate_new_batch, simulate_old_batch
 
@@ -105,6 +107,49 @@ def test_spec_rejects_bad_p_and_paths():
 def test_spec_rejects_repeats_non_finite_p_and_seeds_outside_64_bits(field, value, error):
     with pytest.raises(error):
         small_spec(**{field: value})
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("n_list", (8.9, 16, 32), InvalidStudy),
+    ("n_list", (8.0, 16, 32), InvalidStudy),
+    ("n_list", (8, float("nan"), 32), InvalidStudy),
+    ("n_list", (8, 16, float("inf")), InvalidStudy),
+    ("n_list", ("8", 16, 32), InvalidStudy),
+    ("paths", 10.5, InvalidStudy),
+    ("paths", float("nan"), InvalidStudy),
+    ("paths", float("-inf"), InvalidStudy),
+    ("paths", "10", InvalidStudy),
+    ("master_seed", 1.5, SeedOutOfRange),
+    ("master_seed", float("inf"), SeedOutOfRange),
+    ("master_seed", "42", SeedOutOfRange),
+])
+@pytest.mark.parametrize("build", ["spec", "default_study"])
+def test_study_takes_only_whole_counts_and_seeds(field, value, error, build):
+    # refused where the study is built: paths=10.5 used to fail in mmap, master_seed=1.5 at
+    # the first increment, and default_study truncated (8.9, 16, 32), 10.7 and 3.2 silently
+    with pytest.raises(error, match="must be a whole number"):
+        if build == "spec":
+            small_spec(**{field: value})
+        else:
+            default_study(grid_steps=256, **{"n_list": (8, 16, 32), field: value})
+
+
+def test_numpy_integer_fields_give_the_same_study_as_python_ints(tmp_path):
+    # np.int64 paths used to run the whole study and then fail in json.dumps
+    plain = small_spec()
+    spec = small_spec(n_list=tuple(np.int64(n) for n in plain.n_list), paths=np.int64(40), master_seed=np.uint64(7),
+                      p_list=(np.int64(2),))
+    assert spec == plain
+    assert all(type(v) is int for v in (*spec.n_list, spec.paths, spec.master_seed))
+    outputs = []
+    for i, s in enumerate((plain, spec)):
+        report = run_convergence(s)
+        write_report_csv(report, tmp_path / f"{i}.csv")
+        write_report_json(report, tmp_path / f"{i}.json")
+        body = json.loads((tmp_path / f"{i}.json").read_text())
+        body["metadata"].pop("generated_at")
+        outputs.append(((tmp_path / f"{i}.csv").read_bytes(), body))
+    assert outputs[0] == outputs[1]
 
 
 def test_spec_rejects_arrays_beyond_the_address_space():
