@@ -92,7 +92,7 @@ _COMMANDS = {
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(?:inf|nan)", re.IGNORECASE)
 
 
-def _build_parser(filled=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+def _build_parser(filled) -> argparse.ArgumentParser:
     """The dpsde parser: every subcommand, with options only for those in filled."""
     parser = argparse.ArgumentParser(
         prog="dpsde",

@@ -1,9 +1,10 @@
 """Time grids, delay index maps and reproducible Brownian increments.
 
-All processes are discretized on one uniform grid t_k = k*h, h = T/L.  The
-delay parameter n of the approximation scheme only selects a lag of
-m = L/(n*T) whole grid steps, which must divide evenly; the two lag
-conventions of the scheme are
+All processes are discretized on one uniform grid t_k = k*h, h = T/L, a
+SimGrid, which checks L and T when it is built (make_grid is the same class).
+The delay parameter n of the approximation scheme only selects a lag of
+m = L/(n*T) whole grid steps, which must divide evenly (lag_map decides this
+in exact integers); the two lag conventions of the scheme are
 
     raw lag      k -> k - m        (integrand history; negative index means
                                     the constant pre-time segment)
@@ -53,12 +54,32 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
+def whole_number(name: str, value, error: type) -> int:
+    """value as a Python int if its type is an integer type, numpy's included (it has __index__); else raise error."""
+    if not hasattr(value, "__index__"):
+        raise error(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimGrid:
-    """Uniform grid with L steps on [0, T]; t_k = k * step_size."""
+    """Uniform grid with L steps on [0, T]; t_k = k * step_size.  Building one raises InvalidGrid on steps
+    not a whole number >= 1, on more steps than one path's float64 increments can hold in an address space
+    (8*steps > sys.maxsize), or on a horizon not finite and > 0."""
 
     steps: int
     horizon: float
+
+    def __post_init__(self) -> None:
+        steps = whole_number("steps", self.steps, InvalidGrid)
+        if steps < 1:
+            raise InvalidGrid(f"steps must be >= 1, got {steps}")
+        if steps * 8 > sys.maxsize:
+            raise InvalidGrid(f"steps must be at most {sys.maxsize // 8} for one path's increments, got {steps}")
+        if not np.isfinite(self.horizon) or self.horizon <= 0.0:
+            raise InvalidGrid(f"horizon must be finite and > 0, got {self.horizon}")
+        object.__setattr__(self, "steps", steps)  # the dataclass is frozen
+        object.__setattr__(self, "horizon", float(self.horizon))
 
     @property
     def step_size(self) -> float:
@@ -80,50 +101,31 @@ class GridPath:
     grid: SimGrid
 
 
-def whole_number(name: str, value, error: type) -> int:
-    """value as a Python int if its type is an integer type, numpy's included (it has __index__); else raise error."""
-    if not hasattr(value, "__index__"):
-        raise error(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def make_grid(steps: int, horizon: float) -> SimGrid:
-    """Build a uniform grid; raises InvalidGrid on steps not a whole number >= 1, on more steps than one
-    path's float64 increments can hold in an address space (8*steps > sys.maxsize), or on horizon <= 0."""
-    steps = whole_number("steps", steps, InvalidGrid)
-    if steps < 1:
-        raise InvalidGrid(f"steps must be >= 1, got {steps}")
-    if steps * 8 > sys.maxsize:
-        raise InvalidGrid(f"steps must be at most {sys.maxsize // 8} for one path's increments, got {steps}")
-    if not np.isfinite(horizon) or horizon <= 0.0:
-        raise InvalidGrid(f"horizon must be finite and > 0, got {horizon}")
-    return SimGrid(steps=steps, horizon=float(horizon))
+make_grid = SimGrid  # make_grid(steps, horizon): the checked grid under its older name
 
 
 def lag_map(grid: SimGrid, n: int) -> int:
     """The delay 1/n as a whole number m >= 1 of grid steps.
 
-    Requires a whole n >= 1, delay at most the horizon, and L/(n*T) to be a
-    positive integer; raises DelayTooFine when the delay rounds below one step
-    and DelayNotAligned otherwise.  An n or L/(n*T) beyond the float range
-    is judged by the same rule exactly.
+    Requires a whole n >= 1, delay at most the horizon, and L/(n*T) within
+    1e-9*max(1, m) of its nearest integer m (half to even); raises DelayTooFine
+    when m < 1 and DelayNotAligned otherwise.  The rule is decided in exact
+    integers from T's float value, so an n or L/(n*T) of any size is judged alike.
     """
     n = whole_number("delay parameter n", n, DelayNotAligned)
     if n < 1:
         raise DelayNotAligned(f"delay parameter n must be >= 1, got {n}")
-    try:
-        exact = grid.steps / (n * grid.horizon)
-        m = int(round(exact))
-    except OverflowError:  # n or L/(n*T) beyond the floats
-        from fractions import Fraction  # not at the top: it loads decimal, ~0.4 MB no valid run needs
-        exact = Fraction(grid.steps) / (n * Fraction(grid.horizon))
-        m = round(exact)
+    a, b = grid.horizon.as_integer_ratio()
+    num, den = grid.steps * b, n * a  # L/(n*T) = num/den
+    m, rem = divmod(num, den)
+    if 2 * rem > den or (2 * rem == den and m % 2):
+        m += 1
     if m < 1:
         raise DelayTooFine(f"delay 1/{n} is below one grid step h={grid.step_size!r}")
     if m > grid.steps:
         raise DelayNotAligned(f"delay 1/{n} exceeds the horizon {grid.horizon!r}")
-    if abs(exact - m) > 1e-9 * max(1.0, m):
-        raise DelayNotAligned(f"L/(n*T) = {float(exact)!r} is not an integer (L={grid.steps}, n={n}, T={grid.horizon!r})")
+    if 10**9 * abs(num - m * den) > max(1, m) * den:
+        raise DelayNotAligned(f"L/(n*T) = {num / den!r} is not an integer (L={grid.steps}, n={n}, T={grid.horizon!r})")
     return m
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -93,8 +94,8 @@ class StudySpec:
         for name, values in (("n_list", self.n_list), ("p_list", self.p_list)):  # each p has its own fit
             if not values or len(set(values)) != len(values):
                 raise InvalidStudy(f"{name} must be non-empty without repeats, got {values}")
-        if not all(math.isfinite(p) and p >= 1.0 for p in self.p_list):
-            raise InvalidStudy(f"every p must be finite and >= 1, got {self.p_list}")
+        if not all(isinstance(p, numbers.Real) and math.isfinite(p) and p >= 1.0 for p in self.p_list):
+            raise InvalidStudy(f"every p must be a finite real number >= 1, got {self.p_list}")
         object.__setattr__(self, "p_list", tuple(map(float, self.p_list)))
         if self.paths < 2:  # one path has no standard error
             raise InvalidStudy(f"paths must be >= 2, got {self.paths}")

@@ -11,13 +11,14 @@ the running-extrema representations breaks down, so no epsilon slack is
 applied.  The accept/reject decision is made on the cross-multiplied form
 |alpha*beta| < (1-alpha)(1-beta), which is the same strict inequality without
 a division that could round across the boundary; rho is carried as derived
-data.
+data.  Building a PerturbationParams runs this gate, whether directly, by validate (the same class) or
+by dataclasses.replace, so every instance satisfies it; time_zero_level stays outside the gate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import AlphaOutOfRange, BetaOutOfRange, NonFiniteStart, NonPositiveHorizon, RhoTooLarge, UndefinedTimeZero
@@ -34,44 +35,39 @@ STOCK_STUDY = MappingProxyType({
 
 @dataclass(frozen=True)
 class PerturbationParams:
-    """Validated (alpha, beta, x0, horizon) tuple with derived rho.
+    """Validated (alpha, beta, x0, horizon) with derived rho; immutable.
 
-    Instances are immutable.  Construct via :func:`validate`; building one
-    directly skips the well-posedness gate.
+    Building one is the well-posedness gate.  Each field is coerced with float(); then, in this order,
+    AlphaOutOfRange / BetaOutOfRange is raised when a parameter reaches 1 or is not finite, NonFiniteStart
+    when x0 is not finite, RhoTooLarge when |alpha*beta| >= (1-alpha)(1-beta), and NonPositiveHorizon
+    unless the horizon is finite and > 0.  rho is computed here and cannot be passed.
     """
 
     alpha: float
     beta: float
     x0: float
     horizon: float
-    rho: float
+    rho: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        alpha, beta, x0, horizon = map(float, (self.alpha, self.beta, self.x0, self.horizon))
+        if not math.isfinite(alpha) or alpha >= 1.0:
+            raise AlphaOutOfRange(f"alpha must be finite and < 1, got {alpha}")
+        if not math.isfinite(beta) or beta >= 1.0:
+            raise BetaOutOfRange(f"beta must be finite and < 1, got {beta}")
+        if not math.isfinite(x0):
+            raise NonFiniteStart(f"x0 must be finite, got {x0}")
+        denom = (1.0 - alpha) * (1.0 - beta)  # > 0 since alpha, beta < 1
+        rho = (alpha * beta) / denom
+        if not abs(alpha * beta) < denom:
+            raise RhoTooLarge(f"rho={rho!r}: need |alpha*beta| < (1-alpha)(1-beta)")
+        if not math.isfinite(horizon) or horizon <= 0.0:
+            raise NonPositiveHorizon(f"horizon must be finite and > 0, got {horizon}")
+        for name, value in zip(("alpha", "beta", "x0", "horizon", "rho"), (alpha, beta, x0, horizon, rho)):
+            object.__setattr__(self, name, value)  # the dataclass is frozen
 
 
-def validate(alpha: float, beta: float, x0: float, horizon: float) -> PerturbationParams:
-    """Check the well-posedness condition and return a validated record.
-
-    Raises AlphaOutOfRange / BetaOutOfRange when a parameter reaches 1,
-    NonFiniteStart when x0 is not finite, RhoTooLarge when
-    |alpha*beta| >= (1-alpha)(1-beta), and NonPositiveHorizon when
-    horizon <= 0.  Non-finite inputs are rejected with the matching error.
-    """
-    alpha = float(alpha)
-    beta = float(beta)
-    x0 = float(x0)
-    horizon = float(horizon)
-    if not math.isfinite(alpha) or alpha >= 1.0:
-        raise AlphaOutOfRange(f"alpha must be finite and < 1, got {alpha}")
-    if not math.isfinite(beta) or beta >= 1.0:
-        raise BetaOutOfRange(f"beta must be finite and < 1, got {beta}")
-    if not math.isfinite(x0):
-        raise NonFiniteStart(f"x0 must be finite, got {x0}")
-    denom = (1.0 - alpha) * (1.0 - beta)  # > 0 since alpha, beta < 1
-    rho = (alpha * beta) / denom
-    if not abs(alpha * beta) < denom:
-        raise RhoTooLarge(f"rho={rho!r}: need |alpha*beta| < (1-alpha)(1-beta)")
-    if not math.isfinite(horizon) or horizon <= 0.0:
-        raise NonPositiveHorizon(f"horizon must be finite and > 0, got {horizon}")
-    return PerturbationParams(alpha=alpha, beta=beta, x0=x0, horizon=horizon, rho=rho)
+validate = PerturbationParams  # validate(alpha, beta, x0, horizon): the gate under its older name
 
 
 def beyond_mao(params: PerturbationParams) -> bool:

@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 # the brute-force scheme, the Skorohod oracle and the parameter sampler live
 # in dpsde.checks, which `dpsde check` runs; the tests use the same copies
 from dpsde.checks import brute_new_scheme, brute_skorohod, random_valid_params  # noqa: F401
+from dpsde.errors import DelayNotAligned, DelayTooFine
 
 
 def clamped_lag(m: int, k: int) -> int:
@@ -27,6 +29,17 @@ def clamped_lag(m: int, k: int) -> int:
 def raw_lag(m: int, k: int) -> int:
     """Index of the raw lag t_k - delay; negative means pre-time history."""
     return k - m
+
+
+def exact_lag(steps: int, horizon: float, n: int):
+    """lag_map's rule in Fractions: the lag m of delay 1/n, or the error class lag_map raises."""
+    exact = Fraction(steps) / (n * Fraction(horizon))
+    m = round(exact)  # half to even
+    if m < 1:
+        return DelayTooFine
+    if m > steps or abs(exact - m) > Fraction(max(1, m), 10**9):
+        return DelayNotAligned
+    return m
 
 
 def brute_old_scheme(model, params, grid, m, dw):

@@ -1041,7 +1041,7 @@ def test_one_subcommand_parser_prints_the_full_parsers_help():
             parser.parse_args(argv)
         return out.getvalue()
 
-    full = cli._build_parser()
+    full = cli._build_parser(tuple(cli._COMMANDS))
     assert help_text(cli._build_parser([]), ["--help"]) == help_text(full, ["--help"])
     assert run_main(["--help"]) == (0, help_text(full, ["--help"]), "")
     for command in cli._COMMANDS:

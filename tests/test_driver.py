@@ -1,10 +1,18 @@
+import collections
+import math
+import os
+import random
+import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _oracles import clamped_lag, raw_lag
+from _oracles import clamped_lag, exact_lag, raw_lag
 from dpsde.driver import (
+    SimGrid,
     brownian_values,
     coarsen_values,
     generate_increments,
@@ -89,10 +97,11 @@ NOT_WHOLE = [2.5, 4096 / 3, 8.0, np.float64(8.0), float("nan"), float("inf"), fl
 @pytest.mark.parametrize("steps", NOT_WHOLE)
 def test_make_grid_takes_only_whole_step_counts(steps):
     # 2.5 was truncated to 2 steps; a float, NaN, inf or string count is refused where it enters
-    with pytest.raises(InvalidGrid, match="steps must be a whole number"):
-        make_grid(steps, 1.0)
-    grid = make_grid(np.int64(64), 1.0)
-    assert grid == make_grid(64, 1.0) and type(grid.steps) is int
+    for build in (make_grid, SimGrid):  # a grid built directly is checked the same way
+        with pytest.raises(InvalidGrid, match="steps must be a whole number"):
+            build(steps, 1.0)
+        grid = build(np.int64(64), 1.0)
+        assert grid == make_grid(64, 1.0) and type(grid.steps) is int
 
 
 @pytest.mark.parametrize("n", NOT_WHOLE)
@@ -104,6 +113,88 @@ def test_lag_map_takes_only_whole_delay_parameters(n):
     assert m == 512 and type(m) is int
     with pytest.raises(DelayTooFine):  # a whole n beyond the floats still takes the exact path
         lag_map(make_grid(2048, 1.0), 10**400)
+
+
+@pytest.mark.parametrize("steps,horizon,message", [
+    (256.0, 1.0, "steps must be a whole number, got 256.0"),
+    (256.5, 1.0, "steps must be a whole number, got 256.5"),
+    (0, 1.0, "steps must be >= 1, got 0"),
+    (2**60, 1.0, f"steps must be at most {sys.maxsize // 8} for one path's increments, got {2**60}"),
+    (8, -1.0, "horizon must be finite and > 0, got -1.0"),
+    (8, float("nan"), "horizon must be finite and > 0, got nan"),
+], ids=["float", "fraction", "zero", "beyond-address-space", "negative-horizon", "nan-horizon"])
+def test_every_way_to_build_a_grid_runs_its_checks(steps, horizon, message):
+    # SimGrid(256.0, 1.0) used to build unchecked and fail late in np.empty; the messages are make_grid's
+    assert make_grid is SimGrid
+    with pytest.raises(InvalidGrid) as info:
+        SimGrid(steps, horizon)
+    assert str(info.value) == message
+    with pytest.raises(InvalidGrid) as info:
+        replace(make_grid(8, 1.0), steps=steps, horizon=horizon)
+    assert str(info.value) == message
+    grid = SimGrid(8, 2)
+    assert type(grid.horizon) is float and replace(grid, steps=16) == make_grid(16, 2.0)
+
+
+def test_lag_map_matches_an_exact_oracle():
+    rng = random.Random(20281)
+    outcomes = collections.Counter()
+    for case in range(3000):
+        if case % 3 == 0:  # horizons q/2**e with lags near alignment
+            horizon, n = rng.randint(1, 16) / 2 ** rng.randint(0, 8), rng.randint(1, 4096)
+            steps = max(1, round(rng.randint(1, 64) * n * horizon) + rng.choice((0, 0, 1, -1)))
+        elif case % 3 == 1:  # decimal horizons, where n*T rounds in floats
+            horizon, n = rng.choice((0.1, 0.3, 1 / 3, 0.7, 2.5, 1e-3, 3.0)), rng.randint(1, 10**6)
+            steps = max(1, round(rng.randint(1, 1000) * n * horizon))
+        else:  # any magnitude: n far beyond the floats, subnormal to huge T, L up to the address bound
+            horizon = math.ldexp(rng.random() + 0.5, rng.randint(-1075, 1000)) or 5e-324
+            steps, n = rng.randint(1, 2 ** rng.randint(1, 59) - 1), rng.randint(1, 10 ** rng.randint(1, 400))
+        try:
+            got = lag_map(make_grid(steps, horizon), n)
+        except (DelayTooFine, DelayNotAligned) as exc:
+            got = type(exc)
+        assert got == exact_lag(steps, horizon, n), (steps, horizon, n)
+        outcomes["m" if isinstance(got, int) else got.__name__] += 1
+    assert min(outcomes.values()) > 300 and len(outcomes) == 3, outcomes
+
+
+def test_lag_map_edge_cases_decided_exactly():
+    # the float route read L/(n*T) here as exactly 0.5 and raised DelayTooFine; it is 0.50000000000000003
+    with pytest.raises(DelayNotAligned, match="is not an integer"):
+        lag_map(make_grid(4, 1 / 3), 24)
+    assert exact_lag(4, 1 / 3, 24) is DelayNotAligned
+    # L/(n*T) = m + off/n sits exactly on the 1e-9*m tolerance at off = +-4, and one past it at +-5
+    m, n = 5**9 * 2, 1024
+    for off in (4, -4):
+        assert lag_map(make_grid(m * n + off, 1.0), n) == m == exact_lag(m * n + off, 1.0, n)
+    for off in (5, -5):
+        with pytest.raises(DelayNotAligned, match="is not an integer"):
+            lag_map(make_grid(m * n + off, 1.0), n)
+    # ties round half to even, as round() does: L/(n*T) = 0.5 rounds below one step, 1.5 to a misaligned 2,
+    # and from m = 5e8 up a half step is within the tolerance, so the tie picks the lag itself
+    assert lag_map(make_grid(2 * 10**9 + 1, 1.0), 2) == 10**9 == exact_lag(2 * 10**9 + 1, 1.0, 2)
+    assert lag_map(make_grid(2 * 10**9 + 3, 1.0), 2) == 10**9 + 2 == exact_lag(2 * 10**9 + 3, 1.0, 2)
+    with pytest.raises(DelayTooFine):
+        lag_map(make_grid(1, 1.0), 2)
+    with pytest.raises(DelayNotAligned, match=r"L/\(n\*T\) = 1.5 is not an integer"):
+        lag_map(make_grid(3, 1.0), 2)
+
+
+def test_lag_map_beyond_the_floats_loads_no_fractions():
+    # the exact rule is integer arithmetic: fractions (and the decimal module it loads) stay out
+    script = """
+import sys
+from dpsde.driver import lag_map, make_grid
+try:
+    lag_map(make_grid(2048, 1.0), 10**400)
+except Exception as exc:
+    print(type(exc).__name__, "fractions" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "DelayTooFine False\n"
 
 
 def test_clamped_lag_is_monotone_and_explicit():

@@ -15,12 +15,14 @@ import pytest
 
 import dpsde.experiments
 from _oracles import exact_gbm, random_valid_params
-from dpsde import beyond_mao, cli, validate
-from dpsde.driver import generate_increments, make_grid
+from dpsde import PerturbationParams, beyond_mao, cli, validate
+from dpsde.driver import SimGrid, generate_increments, make_grid
 from dpsde.errors import (
+    AlphaOutOfRange,
     DegenerateFit,
     DelayNotAligned,
     DelayTooFine,
+    InvalidGrid,
     InvalidStudy,
     InvalidWorkerCount,
     MomentOutOfRange,
@@ -103,6 +105,7 @@ def test_spec_rejects_bad_p_and_paths():
     ("grid", make_grid(512, 2.0), InvalidStudy),  # the solvers would run on T=2, the report state T=1
     ("master_seed", -1, SeedOutOfRange),
     ("master_seed", 2**64, SeedOutOfRange),
+    ("p_list", ("2",), InvalidStudy),  # not a real number: math.isfinite raised a bare TypeError
 ])
 def test_spec_rejects_repeats_non_finite_p_and_seeds_outside_64_bits(field, value, error):
     with pytest.raises(error):
@@ -132,6 +135,17 @@ def test_study_takes_only_whole_counts_and_seeds(field, value, error, build):
             small_spec(**{field: value})
         else:
             default_study(grid_steps=256, **{"n_list": (8, 16, 32), field: value})
+
+
+def test_spec_cannot_be_built_from_an_unchecked_input():
+    # both records used to build without their gates: the alpha=2 study ran and reported an error
+    # estimate for an ill-posed equation, and a float step count failed late in np.empty
+    with pytest.raises(AlphaOutOfRange):
+        small_spec(params=PerturbationParams(alpha=2.0, beta=0.0, x0=0.0, horizon=1.0))
+    with pytest.raises(InvalidGrid, match="steps must be a whole number"):
+        small_spec(grid=SimGrid(256.0, 1.0))
+    with pytest.raises(AlphaOutOfRange):
+        small_spec(params=replace(small_spec().params, alpha=2.0))
 
 
 def test_numpy_integer_fields_give_the_same_study_as_python_ints(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from dpsde.errors import (
     AlphaOutOfRange,
     BetaOutOfRange,
     DPSDEError,
+    NonFiniteStart,
     NonPositiveHorizon,
     RhoTooLarge,
     UndefinedTimeZero,
@@ -124,3 +127,43 @@ def test_time_zero_level_rejects_alpha_plus_beta_rounding_to_one():
     with pytest.raises(UndefinedTimeZero):
         time_zero_level(p)
     assert time_zero_level(validate(0.25, 0.25, 1.0, 1.0)) == 2.0
+
+
+GATE_CASES = [  # (alpha, beta, x0, horizon), error, message: the messages validate gave before it became the class
+    ((2.0, 0.0, 0.0, 1.0), AlphaOutOfRange, "alpha must be finite and < 1, got 2.0"),
+    ((float("nan"), 0, 0, 1), AlphaOutOfRange, "alpha must be finite and < 1, got nan"),
+    ((0.0, 1.5, 0.0, 1.0), BetaOutOfRange, "beta must be finite and < 1, got 1.5"),
+    ((0, 0, float("inf"), 1), NonFiniteStart, "x0 must be finite, got inf"),
+    ((0.5, 0.5, 0, 1), RhoTooLarge, "rho=1.0: need |alpha*beta| < (1-alpha)(1-beta)"),
+    ((0.2, 0.2, 0, -1.0), NonPositiveHorizon, "horizon must be finite and > 0, got -1.0"),
+    ((0.2, 0.2, 0, float("inf")), NonPositiveHorizon, "horizon must be finite and > 0, got inf"),
+    ((2.0, 1.5, float("nan"), -1.0), AlphaOutOfRange, "alpha must be finite and < 1, got 2.0"),  # first check wins
+    (("x", 0, 0, 1), ValueError, "could not convert string to float: 'x'"),
+]
+
+
+@pytest.mark.parametrize("args,error,message", GATE_CASES, ids=[
+    "alpha", "alpha-nan", "beta", "x0-inf", "rho-one", "horizon", "horizon-inf", "first-check-wins", "string"])
+def test_every_way_to_build_params_runs_the_gate(args, error, message):
+    # building the record is the gate: validate is the class, and replace builds through it too
+    assert validate is PerturbationParams
+    with pytest.raises(error) as info:
+        PerturbationParams(*args)
+    assert type(info.value) is error and str(info.value) == message
+    good = validate(0.3, -0.2, 0.5, 2.0)
+    with pytest.raises(error) as info:
+        replace(good, **dict(zip(("alpha", "beta", "x0", "horizon"), args)))
+    assert str(info.value) == message
+
+
+def test_rho_is_derived_never_passed():
+    p = PerturbationParams(alpha=0.6, beta=-1, x0=0, horizon=1)
+    assert p == validate(0.6, -1.0, 0.0, 1.0) and p.rho == 0.6 * -1.0 / (0.4 * 2.0)
+    assert all(type(v) is float for v in (p.alpha, p.beta, p.x0, p.horizon, p.rho))
+    with pytest.raises(TypeError):
+        PerturbationParams(alpha=2.0, beta=0.0, x0=0.0, horizon=1.0, rho=0.0)
+    with pytest.raises(ValueError):
+        replace(p, rho=0.0)
+    assert replace(p, beta=-0.5).rho == validate(0.6, -0.5, 0.0, 1.0).rho == pytest.approx(-0.5)
+    with pytest.raises(AlphaOutOfRange):
+        replace(p, alpha=2.0)
