@@ -34,12 +34,14 @@ statistic it gives with NonFinitePath.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DelayNotAligned, DelayTooFine, InvalidGrid, InvalidIncrements, SeedOutOfRange
+from .params import real_number
 
 __all__ = [
     "SimGrid",
@@ -65,7 +67,7 @@ def whole_number(name: str, value, error: type) -> int:
 class SimGrid:
     """Uniform grid with L steps on [0, T]; t_k = k * step_size.  Building one raises InvalidGrid on steps
     not a whole number >= 1, on more steps than one path's float64 increments can hold in an address space
-    (8*steps > sys.maxsize), or on a horizon not finite and > 0."""
+    (8*steps > sys.maxsize), or on a horizon that is not a real number (numbers.Real), finite and > 0."""
 
     steps: int
     horizon: float
@@ -76,10 +78,11 @@ class SimGrid:
             raise InvalidGrid(f"steps must be >= 1, got {steps}")
         if steps * 8 > sys.maxsize:
             raise InvalidGrid(f"steps must be at most {sys.maxsize // 8} for one path's increments, got {steps}")
-        if not np.isfinite(self.horizon) or self.horizon <= 0.0:
+        horizon = real_number("horizon", self.horizon, InvalidGrid)
+        if not math.isfinite(horizon) or horizon <= 0.0:
             raise InvalidGrid(f"horizon must be finite and > 0, got {self.horizon}")
         object.__setattr__(self, "steps", steps)  # the dataclass is frozen
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "horizon", horizon)
 
     @property
     def step_size(self) -> float:

@@ -15,19 +15,20 @@ arrays ordered by path index before any reduction (numpy's pairwise
 mean/std on a fixed array is reproducible).  Forked worker processes may
 each run a contiguous span of paths, in even pieces of at most _CHUNK
 paths.  Every solver is column-independent, so neither the worker count
-nor the piece width can change any output bit.
+nor the piece or tile width can change any output bit.
 
 Streaming fold.  A piece of B paths writes its increments into one
 time-major (L, B) array and keeps the reference solution's X only, as an
-(L+1, B) array.  Each scheme run then streams its blocks of at most m rows
-(dpsde.scheme) and folds every block into a running per-path sup as
-maximum(sup, |X^n - X|.max(axis=0)), whose temporaries last one block.  Max
-is exact (NaN propagates), so the per-path statistics, and every output
-bit, equal those of the full (L+1, B) scheme output.  A piece therefore
-holds about 2*L*B floats plus O(m*B) scheme state, rather than four
-(L+1, B) arrays per solver run; one 256-path piece of the stock study at
-L=2048 peaks near 4.3*L*B*8 bytes under tracemalloc, and the tests hold
-it below 5*L*B*8.
+(L+1, B) array.  Each scheme stream then runs on t = min(B, ceil(m*B /
+_TILE)) even column tiles of the piece, as views of the increments, so a
+block of m rows spans about _TILE elements however long the delay.  It
+folds every block into a running per-path sup as maximum(sup,
+|X^n - X|.max(axis=0)), whose temporaries last one block.  Max is exact
+(NaN propagates), so the per-path statistics, and every output bit, equal
+those of the full (L+1, B) scheme output.  A piece therefore holds about
+2*L*B floats plus O(_TILE) scheme state, rather than four (L+1, B) arrays
+per solver run; one 256-path piece of the stock study at L=2048 peaks near
+2.9*L*B*8 bytes under tracemalloc, and the tests hold it below 3.25*L*B*8.
 
 The grid must resolve the shortest delay: studies enforce at least 8 grid
 steps per delay 1/n, keeping lag resolution error subdominant at desk
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 _CHUNK = 256
+_TILE = 2**14  # lag rows m times columns: the block size a scheme run is tiled to
 _MIN_SPAN = 64  # the fewest paths worth a worker process
 _MAX_WORKERS = 64
 _MIN_STEPS_PER_DELAY = 8
@@ -206,11 +208,13 @@ def _per_path_sup(
 
     The paths split into w = min(workers, max(1, paths // _MIN_SPAN))
     contiguous spans (see _in_spans), each run in order as the fewest even
-    pieces no wider than _CHUNK.  A span stops after its first piece that
-    holds a non-finite statistic, so every path below the lowest bad one
-    has run; NonFinitePath names that path and the first (kind, n), in
-    study order, that is bad there, whatever the worker count.  A forked
-    span whose study process is gone leaves before its next piece.
+    pieces no wider than _CHUNK, and each (kind, n) of a piece in column
+    tiles (see Streaming fold).  A span stops after its first piece that
+    holds a non-finite statistic, checked once all its tiles have run, so
+    every path below the lowest bad one has run; NonFinitePath names that
+    path and the first (kind, n), in study order, that is bad there,
+    whatever the worker count.  A forked span whose study process is gone
+    leaves before its next piece.
     """
     if not 1 <= workers <= _MAX_WORKERS:
         raise InvalidWorkerCount(f"workers must be in 1..{_MAX_WORKERS}, got {workers!r}")
@@ -220,6 +224,7 @@ def _per_path_sup(
     ref_steps = reference_steps(model, spec.params, spec.grid) if against_reference else None
     keys = [(kind, n) for kind in kinds for n in spec.n_list]
     streams = [scheme_blocks(kind, model, spec.params, spec.grid, n) for kind, n in keys]
+    lags = [lag_map(spec.grid, n) for _, n in keys]
     M, L = spec.paths, spec.grid.steps
     stats = np.frombuffer(mmap.mmap(-1, len(keys) * M * 8)).reshape(len(keys), M)
     study_pid = os.getpid()
@@ -238,12 +243,14 @@ def _per_path_sup(
                 ref = np.empty((L + 1, B))
                 for k0, k1, _, _, _, x in ref_steps(dw):
                     ref[k0:k1] = x
-            for row, blocks in zip(stats, streams):
-                sup = row[s:e]
-                sup[:] = 0.0  # every |.| is >= +0.0, so 0 is the fold's identity
-                for k0, k1, _, _, _, x in blocks(dw):
-                    d = x - ref[k0:k1] if against_reference else x
-                    np.maximum(sup, np.maximum.reduce(np.abs(d), axis=0), out=sup)  # NaN stays
+            for row, blocks, m in zip(stats, streams, lags):
+                t = min(B, -(-m * B // _TILE))  # even column tiles of about _TILE lag-block elements
+                for c0, c1 in ((B * i // t, B * (i + 1) // t) for i in range(t)):
+                    sup = row[s + c0 : s + c1]
+                    sup[:] = 0.0  # every |.| is >= +0.0, so 0 is the fold's identity
+                    for k0, k1, _, _, _, x in blocks(dw[:, c0:c1]):
+                        d = x - ref[k0:k1, c0:c1] if against_reference else x
+                        np.maximum(sup, np.maximum.reduce(np.abs(d), axis=0), out=sup)  # NaN stays
             if not np.isfinite(stats[:, s:e]).all():
                 return
 

@@ -18,12 +18,15 @@ by dataclasses.replace, so every instance satisfies it; time_zero_level stays ou
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import AlphaOutOfRange, BetaOutOfRange, NonFiniteStart, NonPositiveHorizon, RhoTooLarge, UndefinedTimeZero
 
 __all__ = ["PerturbationParams", "validate", "beyond_mao", "time_zero_level", "STOCK_STUDY", "SCHEME_KINDS"]
+
+_FIELD_ERRORS = {"alpha": AlphaOutOfRange, "beta": BetaOutOfRange, "x0": NonFiniteStart, "horizon": NonPositiveHorizon}
 
 SCHEME_KINDS = ("new", "old", "general")  # the delay schemes of dpsde.scheme, read by the CLI without numpy
 # the stock desk-scale study: experiments.default_study's defaults, and the CLI's, kept here free of numpy
@@ -37,7 +40,8 @@ STOCK_STUDY = MappingProxyType({
 class PerturbationParams:
     """Validated (alpha, beta, x0, horizon) with derived rho; immutable.
 
-    Building one is the well-posedness gate.  Each field is coerced with float(); then, in this order,
+    Building one is the well-posedness gate.  Each field must be a numbers.Real (numpy's included) within the
+    float range, else its own error below is raised; it is coerced with float(); then, in this order,
     AlphaOutOfRange / BetaOutOfRange is raised when a parameter reaches 1 or is not finite, NonFiniteStart
     when x0 is not finite, RhoTooLarge when |alpha*beta| >= (1-alpha)(1-beta), and NonPositiveHorizon
     unless the horizon is finite and > 0.  rho is computed here and cannot be passed.
@@ -50,7 +54,7 @@ class PerturbationParams:
     rho: float = field(init=False)
 
     def __post_init__(self) -> None:
-        alpha, beta, x0, horizon = map(float, (self.alpha, self.beta, self.x0, self.horizon))
+        alpha, beta, x0, horizon = (real_number(f, getattr(self, f), error) for f, error in _FIELD_ERRORS.items())
         if not math.isfinite(alpha) or alpha >= 1.0:
             raise AlphaOutOfRange(f"alpha must be finite and < 1, got {alpha}")
         if not math.isfinite(beta) or beta >= 1.0:
@@ -65,6 +69,18 @@ class PerturbationParams:
             raise NonPositiveHorizon(f"horizon must be finite and > 0, got {horizon}")
         for name, value in zip(("alpha", "beta", "x0", "horizon", "rho"), (alpha, beta, x0, horizon, rho)):
             object.__setattr__(self, name, value)  # the dataclass is frozen
+
+
+def real_number(name: str, value, error: type) -> float:
+    """value as a float if its type is a real number type, numpy's included (numbers.Real); else raise error.
+
+    A string is refused, not parsed, and so is a real number beyond the float range."""
+    if not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int or Fraction beyond the floats
+        raise error(f"{name} must be a real number within the float range, got {value!r}") from None
 
 
 validate = PerturbationParams  # validate(alpha, beta, x0, horizon): the gate under its older name

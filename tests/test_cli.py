@@ -412,30 +412,35 @@ def test_only_the_cli_names_flags_in_an_error():
 
 # SHA-256 of the CSV, and of the JSON without its generated_at line, for each study below
 _PINNED_STUDY = ("--paths", "128", "--grid-steps", "512", "--n-list", "8,16,32", "--p-list", "2,4")
-_PINS = {
-    "converge": ("0df3338b2bad5fd5a5be5ab877785464ff572410135fba56823982d8c9450eaa",
-                 "46abc781de3b2a60b3f53ad41435a6d0e1812ea67f52ded8142f7ab3b49cf942"),
-    "compare": ("e3a9515bef54481bed47aa90c474dd5133c1cd31eaff8451465ade375045120f",
-                "a8b986cdc62014059cb75104b7405ef8dd11ecef3e7e09c9a91c0bd30c45c901"),
+# its n=8 runs tile: m=512 lag rows by 128 columns (64 per span at --workers 2) exceed experiments._TILE
+_TILED_STUDY = ("--paths", "128", "--grid-steps", "4096", "--n-list", "8,16,32", "--p-list", "2,4")
+_PINS = {  # case: (command, study, digests)
+    "converge": ("converge", _PINNED_STUDY, ("0df3338b2bad5fd5a5be5ab877785464ff572410135fba56823982d8c9450eaa",
+                                             "46abc781de3b2a60b3f53ad41435a6d0e1812ea67f52ded8142f7ab3b49cf942")),
+    "compare": ("compare", _PINNED_STUDY, ("e3a9515bef54481bed47aa90c474dd5133c1cd31eaff8451465ade375045120f",
+                                           "a8b986cdc62014059cb75104b7405ef8dd11ecef3e7e09c9a91c0bd30c45c901")),
+    "converge-tiled": ("converge", _TILED_STUDY, ("1e99bf2e26eb623e2efc9b839fd33821f27954b1b76b3fd220580ae1e16ba078",
+                                                  "037d07ef92128790cbd3e3b9453e613cb499c29e0790461458c5a9b09fa00bcb")),
 }
 
 
 @pytest.mark.skipif((sys.version.split()[0], np.__version__) != ("3.11.7", "2.4.6"),
                     reason="the output pins were taken with Python 3.11.7 and numpy 2.4.6")
 @pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("command", ["converge", "compare"])
-def test_study_outputs_match_their_pins_bit_for_bit(capsys, tmp_path, monkeypatch, command, workers):
+@pytest.mark.parametrize("case", list(_PINS))
+def test_study_outputs_match_their_pins_bit_for_bit(capsys, tmp_path, monkeypatch, case, workers):
     # 128 paths make two spans of 64, so --workers 2 forks
+    command, study, pins = _PINS[case]
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     out_csv, out_json = tmp_path / "x.csv", tmp_path / "x.json"
-    code, _, _ = run_cli(capsys, command, *_PINNED_STUDY, "--workers", workers,
+    code, _, _ = run_cli(capsys, command, *study, "--workers", workers,
                          "--out-csv", str(out_csv), "--out-json", str(out_json))
     assert (code, len(forks)) == (0, int(workers) - 1)
     body, stamps = re.subn(r'\n *"generated_at": "[^"]*",?', "", out_json.read_text())
     assert stamps == 1
     digests = tuple(hashlib.sha256(data).hexdigest() for data in (out_csv.read_bytes(), body.encode()))
-    assert digests == _PINS[command]
+    assert digests == pins
 
 
 def test_converge_non_finite_path_exits_2(capsys, tmp_path, monkeypatch):

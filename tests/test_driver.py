@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +123,12 @@ def test_lag_map_takes_only_whole_delay_parameters(n):
     (2**60, 1.0, f"steps must be at most {sys.maxsize // 8} for one path's increments, got {2**60}"),
     (8, -1.0, "horizon must be finite and > 0, got -1.0"),
     (8, float("nan"), "horizon must be finite and > 0, got nan"),
-], ids=["float", "fraction", "zero", "beyond-address-space", "negative-horizon", "nan-horizon"])
+    (8, np.float64(-1.0), "horizon must be finite and > 0, got -1.0"),
+    (8, "1.0", "horizon must be a real number, got '1.0'"),
+    (8, None, "horizon must be a real number, got None"),
+    (8, 10**400, f"horizon must be a real number within the float range, got {10**400}"),
+], ids=["float", "fraction", "zero", "beyond-address-space", "negative-horizon", "nan-horizon", "numpy-horizon",
+        "string-horizon", "none-horizon", "horizon-beyond-floats"])
 def test_every_way_to_build_a_grid_runs_its_checks(steps, horizon, message):
     # SimGrid(256.0, 1.0) used to build unchecked and fail late in np.empty; the messages are make_grid's
     assert make_grid is SimGrid
@@ -134,6 +140,8 @@ def test_every_way_to_build_a_grid_runs_its_checks(steps, horizon, message):
     assert str(info.value) == message
     grid = SimGrid(8, 2)
     assert type(grid.horizon) is float and replace(grid, steps=16) == make_grid(16, 2.0)
+    for horizon in (np.float32(2.0), np.int64(2), Fraction(2), np.uint16(2)):  # every numbers.Real
+        assert SimGrid(8, horizon) == grid and type(SimGrid(8, horizon).horizon) is float
 
 
 def test_lag_map_matches_an_exact_oracle():

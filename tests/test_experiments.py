@@ -16,7 +16,7 @@ import pytest
 import dpsde.experiments
 from _oracles import exact_gbm, random_valid_params
 from dpsde import PerturbationParams, beyond_mao, cli, validate
-from dpsde.driver import SimGrid, generate_increments, make_grid
+from dpsde.driver import SimGrid, generate_increments, lag_map, make_grid
 from dpsde.errors import (
     AlphaOutOfRange,
     DegenerateFit,
@@ -451,8 +451,62 @@ def test_moment_scan_rows_are_the_error_table_of_the_sups():
         assert np.array_equal(np.array([row.estimate, row.std_err]).view(np.int64), np.array(want).view(np.int64))
 
 
+def width_recording(widths):
+    """scheme_blocks whose runs append (kind, n, increment columns) to widths."""
+    def recording(kind, model, params, grid, n):
+        stream = scheme_blocks(kind, model, params, grid, n)
+
+        def run(dw):
+            widths.append((kind, n, dw.shape[1]))
+            return stream(dw)
+
+        return run
+
+    return recording
+
+
+def tile_widths(m, B, tile):
+    """The widths of the t = min(B, ceil(m*B / tile)) even column tiles a B-path piece runs on at lag m."""
+    t = min(B, -(-m * B // tile))
+    return [B * (i + 1) // t - B * i // t for i in range(t)]
+
+
+@pytest.mark.parametrize("L,T,n_list,paths,tile", [
+    (256, 1.0, (8, 16), 302, 1000),  # two 151-path pieces in uneven tiles: 5 at m=32, 3 at m=16
+    (96, 0.75, (2, 8), 302, 1000),  # m=64 has a partial last block; 10 tiles at m=64, 3 at m=16
+    (256, 1.0, (8, 16), 40, 16),  # m > tile: one-column tiles
+    (256, 1.0, (8, 16), 40, 2**14),  # a piece narrower than one tile
+    (1024, 1.0, (4, 8), 128, 2**14),  # split by the module's tile as converge-stock's n=8: 2 tiles at m=256
+])
+def test_tiled_fold_equals_the_one_tile_fold_bitwise(monkeypatch, L, T, n_list, paths, tile):
+    # every solver is column-independent, so the per-path sups (and moment
+    # sups) of each kind and parameter pair do not depend on the tiles
+    assert dpsde.experiments._TILE == 2**14
+    drawn = random_valid_params(np.random.default_rng(29))
+    pairs = [(0.6, -1.0), (-2.0, 0.5), (drawn.alpha, drawn.beta)]
+    assert all(beyond_mao(validate(a, b, 0.0, 1.0)) for a, b in pairs[:2])
+    pieces = [paths // 2, paths - paths // 2] if paths > _CHUNK else [paths]
+    widths = []
+    monkeypatch.setattr(dpsde.experiments, "scheme_blocks", width_recording(widths))
+    for alpha, beta in pairs:
+        for x0, kinds in ((0.0, ("new", "old", "general")), (0.3, ("old", "general"))):
+            spec = small_spec(model_id="bounded-trig", params=validate(alpha, beta, x0, T), n_list=n_list,
+                              paths=paths, grid=make_grid(L, T), scheme=kinds[-1])
+            for against_reference in (True, False):
+                monkeypatch.setattr(dpsde.experiments, "_TILE", 2**62)
+                whole = dpsde.experiments._per_path_sup(spec, kinds, against_reference)
+                monkeypatch.setattr(dpsde.experiments, "_TILE", tile)
+                widths.clear()
+                tiled = dpsde.experiments._per_path_sup(spec, kinds, against_reference)
+                keys = [(kind, n) for kind in kinds for n in n_list]
+                assert widths == [(kind, n, w) for B in pieces for kind, n in keys
+                                  for w in tile_widths(lag_map(spec.grid, n), B, tile)]
+                for key in keys:
+                    assert np.array_equal(tiled[key].view(np.int64), whole[key].view(np.int64)), (key, alpha, beta)
+
+
 def test_stock_chunk_peak_memory_is_bounded():
-    # one 256-path chunk of the stock study keeps O(m*B) scheme state, the
+    # one 256-path chunk of the stock study keeps O(_TILE) scheme state, the
     # (L, B) increments and the reference X, not four (L+1, B) outputs per n
     L, B = 2048, 256
     spec = default_study(grid_steps=L, paths=B)
@@ -462,7 +516,7 @@ def test_stock_chunk_peak_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * L * B * 8, peak / (L * B * 8)
+    assert peak < 3.25 * L * B * 8, peak / (L * B * 8)
 
 
 def nan_after_half(condition=lambda x: True):
@@ -553,6 +607,27 @@ def test_non_finite_path_is_the_one_worker_error_whatever_the_spans(monkeypatch,
                         poisoned_blocks(spec, bad, lambda x, hit: np.where(hit, np.nan, x)))
     want = rf"^non-finite per-path sup gap for scheme {kind!r}, n={n}: first at path index {first}$"
     for workers in (1, 2, 3):
+        with pytest.raises(NonFinitePath, match=want):
+            compare_schemes(spec, workers=workers)
+        no_child_left()
+
+
+@pytest.mark.parametrize("bad,kind,n,first", [
+    # (new, 8) runs first and is bad at path 140, in its 18th of 19 tiles; the
+    # lower path 120, in the 9th of 10 tiles of (new, 16), decides
+    ({("new", 8): [140], ("new", 16): [120]}, "new", 16, 120),
+    # bad only in later tiles of the second piece
+    ({("old", 32): [299], ("old", 16): [285, 271]}, "old", 16, 271),
+])
+def test_non_finite_path_in_a_later_tile_is_the_lowest_bad_path(monkeypatch, bad, kind, n, first):
+    # 300 paths run as 150-path pieces (or spans at 2 workers); a tile of 256
+    # elements cuts each piece into 19, 10 and 5 tiles at m = 32, 16 and 8
+    spec = small_spec(paths=300)
+    monkeypatch.setattr(dpsde.experiments, "_TILE", 256)
+    monkeypatch.setattr(dpsde.experiments, "scheme_blocks",
+                        poisoned_blocks(spec, bad, lambda x, hit: np.where(hit, np.nan, x)))
+    want = rf"^non-finite per-path sup gap for scheme {kind!r}, n={n}: first at path index {first}$"
+    for workers in (1, 2):
         with pytest.raises(NonFinitePath, match=want):
             compare_schemes(spec, workers=workers)
         no_child_left()

@@ -1,4 +1,6 @@
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,12 +140,21 @@ GATE_CASES = [  # (alpha, beta, x0, horizon), error, message: the messages valid
     ((0.2, 0.2, 0, -1.0), NonPositiveHorizon, "horizon must be finite and > 0, got -1.0"),
     ((0.2, 0.2, 0, float("inf")), NonPositiveHorizon, "horizon must be finite and > 0, got inf"),
     ((2.0, 1.5, float("nan"), -1.0), AlphaOutOfRange, "alpha must be finite and < 1, got 2.0"),  # first check wins
-    (("x", 0, 0, 1), ValueError, "could not convert string to float: 'x'"),
+    # a value that is not a numbers.Real raises its field's error, before any range check
+    (("x", 0, 0, 1), AlphaOutOfRange, "alpha must be a real number, got 'x'"),
+    (("0.5", 0, 0, 1), AlphaOutOfRange, "alpha must be a real number, got '0.5'"),
+    ((None, 0, 0, 1), AlphaOutOfRange, "alpha must be a real number, got None"),
+    ((2.0, b"0", 0, 1), BetaOutOfRange, "beta must be a real number, got b'0'"),
+    ((0, 0, 1j, 1), NonFiniteStart, "x0 must be a real number, got 1j"),
+    ((0, 0, 0, "1"), NonPositiveHorizon, "horizon must be a real number, got '1'"),
+    ((0, 0, 0, Decimal(1)), NonPositiveHorizon, "horizon must be a real number, got Decimal('1')"),
+    ((0, -(10**400), 0, 1), BetaOutOfRange, f"beta must be a real number within the float range, got {-(10**400)}"),
 ]
 
 
 @pytest.mark.parametrize("args,error,message", GATE_CASES, ids=[
-    "alpha", "alpha-nan", "beta", "x0-inf", "rho-one", "horizon", "horizon-inf", "first-check-wins", "string"])
+    "alpha", "alpha-nan", "beta", "x0-inf", "rho-one", "horizon", "horizon-inf", "first-check-wins", "string",
+    "numeric-string", "none", "bytes-before-range", "complex", "horizon-string", "decimal", "beyond-floats"])
 def test_every_way_to_build_params_runs_the_gate(args, error, message):
     # building the record is the gate: validate is the class, and replace builds through it too
     assert validate is PerturbationParams
@@ -154,6 +165,14 @@ def test_every_way_to_build_params_runs_the_gate(args, error, message):
     with pytest.raises(error) as info:
         replace(good, **dict(zip(("alpha", "beta", "x0", "horizon"), args)))
     assert str(info.value) == message
+
+
+def test_every_real_number_type_gives_the_same_params():
+    # numpy's scalars, Fraction and bool are numbers.Real; each field is stored as a Python float
+    got = validate(np.float32(0.5), np.int64(0), Fraction(1, 4), True)
+    assert got == validate(0.5, 0.0, 0.25, 1.0)
+    assert all(type(v) is float for v in (got.alpha, got.beta, got.x0, got.horizon))
+    assert PerturbationParams(np.float64(0.6), -1, 0, np.uint8(2)) == validate(0.6, -1.0, 0.0, 2.0)
 
 
 def test_rho_is_derived_never_passed():
