@@ -196,7 +196,9 @@ def brownian_values(increments: np.ndarray) -> np.ndarray:
 
 
 def coarsen_values(values: np.ndarray, factor: int) -> np.ndarray:
-    """Subsample a Brownian path to a factor-coarser grid (bitwise exact)."""
+    """Subsample a Brownian path to a factor-coarser grid (bitwise exact).  Raises InvalidGrid unless
+    factor is a whole number >= 1 that divides the path's step count."""
+    factor = whole_number("factor", factor, InvalidGrid)
     values = np.asarray(values, dtype=float)
     if factor < 1 or (values.shape[-1] - 1) % factor != 0:
         raise InvalidGrid(f"factor {factor} does not divide {values.shape[-1] - 1} steps")

@@ -26,7 +26,8 @@ class NonPositiveHorizon(DPSDEError):
 
 
 class InvalidGrid(DPSDEError):
-    """Grid construction with a step count that is not a whole number >= 1, or a non-positive horizon."""
+    """Grid construction with a step count that is not a whole number >= 1, or a non-positive horizon;
+    or a coarsening factor that is not a whole number >= 1 dividing the path's step count."""
 
 
 class DelayNotAligned(DPSDEError):
@@ -66,7 +67,7 @@ class UnknownFormat(DPSDEError, ValueError):
 
 
 class InvalidWorkerCount(DPSDEError, ValueError):
-    """A worker count outside 1..64, or above 1 without os.fork."""
+    """A worker count not a whole number in 1..64, or above 1 without os.fork."""
 
 
 class UnknownScheme(DPSDEError, ValueError):

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -49,7 +48,7 @@ import numpy as np
 from .driver import SimGrid, check_key_word, generate_increments, lag_map, make_grid, whole_number
 from .errors import DegenerateFit, DelayTooFine, InvalidStudy, InvalidWorkerCount, MomentOutOfRange, NonFinitePath
 from .models import get_model
-from .params import STOCK_STUDY, PerturbationParams, validate
+from .params import STOCK_STUDY, PerturbationParams, real_number, validate
 from .reference import reference_steps
 from .scheme import check_scheme, scheme_blocks
 
@@ -96,9 +95,10 @@ class StudySpec:
         for name, values in (("n_list", self.n_list), ("p_list", self.p_list)):  # each p has its own fit
             if not values or len(set(values)) != len(values):
                 raise InvalidStudy(f"{name} must be non-empty without repeats, got {values}")
-        if not all(isinstance(p, numbers.Real) and math.isfinite(p) and p >= 1.0 for p in self.p_list):
-            raise InvalidStudy(f"every p must be a finite real number >= 1, got {self.p_list}")
-        object.__setattr__(self, "p_list", tuple(map(float, self.p_list)))
+        p_list = tuple(real_number("each p", p, InvalidStudy) for p in self.p_list)
+        if not all(math.isfinite(p) and p >= 1.0 for p in p_list):
+            raise InvalidStudy(f"every p must be finite and >= 1, got {self.p_list}")
+        object.__setattr__(self, "p_list", p_list)
         if self.paths < 2:  # one path has no standard error
             raise InvalidStudy(f"paths must be >= 2, got {self.paths}")
         if self.grid.horizon != self.params.horizon:  # the solvers run on one, the report states the other
@@ -201,21 +201,24 @@ def _per_path_sup(
     from the limit-equation solver on the same increments; otherwise it is
     sup_k |X^n_k|.  The arrays, ordered by path index, are the rows (one per
     (kind, n), in study order) of one array in an anonymous shared mapping,
-    which forked spans fill in place.  Raises InvalidWorkerCount for
-    workers outside 1.._MAX_WORKERS, or > 1 where os.fork is missing, and
-    whatever building the solvers raises (NonZeroStart, UndefinedTimeZero,
-    ...), before any increment is drawn or any process forked.
+    which forked spans fill in place.  workers must be a whole number
+    (whole_number: 1.5, 2.0 and "2" are refused, not truncated or
+    compared) in 1.._MAX_WORKERS, and 1 where os.fork is missing; else
+    InvalidWorkerCount.  That and whatever building the solvers raises
+    (NonZeroStart, UndefinedTimeZero, ...) is raised before any increment
+    is drawn or any process forked.
 
-    The paths split into w = min(workers, max(1, paths // _MIN_SPAN))
-    contiguous spans (see _in_spans), each run in order as the fewest even
-    pieces no wider than _CHUNK, and each (kind, n) of a piece in column
-    tiles (see Streaming fold).  A span stops after its first piece that
+    _split cuts every range: the paths into w = min(workers, max(1,
+    paths // _MIN_SPAN)) spans (run by _in_spans), each span in order into
+    the fewest pieces no wider than _CHUNK, and each (kind, n) of a piece
+    into column tiles (see Streaming fold).  A span stops after its first piece that
     holds a non-finite statistic, checked once all its tiles have run, so
     every path below the lowest bad one has run; NonFinitePath names that
     path and the first (kind, n), in study order, that is bad there,
     whatever the worker count.  A forked span whose study process is gone
     leaves before its next piece.
     """
+    workers = whole_number("workers", workers, InvalidWorkerCount)
     if not 1 <= workers <= _MAX_WORKERS:
         raise InvalidWorkerCount(f"workers must be in 1..{_MAX_WORKERS}, got {workers!r}")
     if workers > 1 and not hasattr(os, "fork"):
@@ -230,11 +233,9 @@ def _per_path_sup(
     study_pid = os.getpid()
 
     def span(s0: int, s1: int) -> None:
-        k = math.ceil((s1 - s0) / _CHUNK)
-        for q in range(k):
+        for s, e in _split(s0, s1, -(-(s1 - s0) // _CHUNK)):
             if os.getpid() != study_pid and os.getppid() != study_pid:
                 os._exit(1)  # the study process is gone: nobody reads this span
-            s, e = s0 + (s1 - s0) * q // k, s0 + (s1 - s0) * (q + 1) // k
             B = e - s
             dw = np.empty((L, B))
             for j in range(B):
@@ -244,8 +245,7 @@ def _per_path_sup(
                 for k0, k1, _, _, _, x in ref_steps(dw):
                     ref[k0:k1] = x
             for row, blocks, m in zip(stats, streams, lags):
-                t = min(B, -(-m * B // _TILE))  # even column tiles of about _TILE lag-block elements
-                for c0, c1 in ((B * i // t, B * (i + 1) // t) for i in range(t)):
+                for c0, c1 in _split(0, B, min(B, -(-m * B // _TILE))):  # tiles of about _TILE lag-block elements
                     sup = row[s + c0 : s + c1]
                     sup[:] = 0.0  # every |.| is >= +0.0, so 0 is the fold's identity
                     for k0, k1, _, _, _, x in blocks(dw[:, c0:c1]):
@@ -254,8 +254,7 @@ def _per_path_sup(
             if not np.isfinite(stats[:, s:e]).all():
                 return
 
-    w = min(workers, max(1, M // _MIN_SPAN))
-    _in_spans(span, [M * i // w for i in range(w + 1)])
+    _in_spans(span, _split(0, M, min(workers, max(1, M // _MIN_SPAN))))
     bad = ~np.isfinite(stats)
     if bad.any():
         i = int(bad.any(axis=0).argmax())
@@ -267,8 +266,14 @@ def _per_path_sup(
     return dict(zip(keys, stats))
 
 
-def _in_spans(run, edges: list[int]) -> None:
-    """run(s0, s1) on each span [edges[i], edges[i+1]).
+def _split(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
+    """The parts contiguous ranges (start, stop) of [lo, hi), in order, whose widths differ by at most one."""
+    edges = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _in_spans(run, ranges: list[tuple[int, int]]) -> None:
+    """run(s0, s1) on each span [s0, s1) of ranges.
 
     This process runs the first span and a forked child each other; run
     writes into memory shared with this process.  A child leaves through
@@ -283,7 +288,7 @@ def _in_spans(run, edges: list[int]) -> None:
     """
     children = {}  # pid -> its span
     try:
-        for s0, s1 in zip(edges[1:-1], edges[2:]):
+        for s0, s1 in ranges[1:]:
             pid = os.fork()
             if pid == 0:
                 try:
@@ -292,7 +297,7 @@ def _in_spans(run, edges: list[int]) -> None:
                     os._exit(1)
                 os._exit(0)
             children[pid] = (s0, s1)
-        run(edges[0], edges[1])
+        run(*ranges[0])
     finally:
         failed = [span for pid, span in children.items() if os.waitpid(pid, 0)[1] != 0]
     for s0, s1 in failed:

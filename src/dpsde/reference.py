@@ -64,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import GridPath, SimGrid, brownian_values, check_steps, collect, single_path
+from .errors import InvalidIncrements
 from .models import CoefficientModel
 from .params import PerturbationParams, time_zero_level, validate
 
@@ -180,10 +181,14 @@ def exact_singly_perturbed(increments: np.ndarray, grid: SimGrid, side) -> GridP
 
     (The positive part in the underlying reflection identity is redundant
     because the running extrema of W straddle W_0 = 0.)  big_m/big_i are
-    recomputed from X itself so the usual path invariants hold.  A side
-    parameter that validate rejects raises AlphaOutOfRange/BetaOutOfRange.
+    recomputed from X itself so the usual path invariants hold.  Increments
+    whose last axis does not hold grid.steps steps raise InvalidIncrements;
+    a side parameter that validate rejects raises AlphaOutOfRange/BetaOutOfRange.
     """
-    w = brownian_values(np.asarray(increments, dtype=float))
+    dw = np.asarray(increments, dtype=float)
+    if dw.shape[-1:] != (grid.steps,):
+        raise InvalidIncrements(f"need {grid.steps} increments per path, one per grid step; got shape {dw.shape}")
+    w = brownian_values(dw)
     if isinstance(side, MaxSide):
         validate(side.alpha, 0.0, 0.0, 1.0)
         x = w + (side.alpha / (1.0 - side.alpha)) * np.maximum.accumulate(w, axis=-1)

@@ -287,6 +287,15 @@ def test_coarsen_rejects_non_divisor():
         coarsen_values(np.zeros(11), 4)
 
 
+@pytest.mark.parametrize("factor", [2.0, "2", 0, -2])
+def test_coarsen_takes_only_a_whole_factor_of_at_least_one(factor):
+    # 2.0 and "2" used to fail with a bare TypeError from the slice and the comparison
+    w = np.arange(9.0)
+    with pytest.raises(InvalidGrid):
+        coarsen_values(w, factor)
+    assert np.array_equal(coarsen_values(w, np.int64(2)), w[::2])
+
+
 # every solver entry on one path's 1-D increments (m, p, g, dw: model, params, grid, increments)
 _SOLVER_ENTRIES = {
     "simulate_new": lambda m, p, g, dw: simulate_new(m, p, g, 8, dw),

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import dpsde.experiments
 from _oracles import exact_gbm, random_valid_params
@@ -106,6 +107,7 @@ def test_spec_rejects_bad_p_and_paths():
     ("master_seed", -1, SeedOutOfRange),
     ("master_seed", 2**64, SeedOutOfRange),
     ("p_list", ("2",), InvalidStudy),  # not a real number: math.isfinite raised a bare TypeError
+    ("p_list", (2.0, 10**400), InvalidStudy),  # beyond the floats: math.isfinite raised a bare OverflowError
 ])
 def test_spec_rejects_repeats_non_finite_p_and_seeds_outside_64_bits(field, value, error):
     with pytest.raises(error):
@@ -841,6 +843,29 @@ def test_study_rejects_worker_count_above_the_ceiling_before_work(monkeypatch, s
     monkeypatch.setattr(os, "fork", _no_work)
     with pytest.raises(InvalidWorkerCount, match=r"workers must be in 1\.\.64, got"):
         study(small_spec(paths=10**5), workers=workers)
+
+
+@pytest.mark.parametrize("study", [run_convergence, compare_schemes, moment_scan])
+@pytest.mark.parametrize("workers", [1.5, 2.0, "2"])
+def test_study_rejects_worker_count_not_a_whole_number_before_work(monkeypatch, study, workers):
+    # on 300 paths 1.5 and 2.0 used to fail in range() and "2" in the comparison, each with a bare TypeError
+    monkeypatch.setattr(dpsde.experiments, "generate_increments", _no_work)
+    monkeypatch.setattr(os, "fork", _no_work)
+    with pytest.raises(InvalidWorkerCount, match="workers must be a whole number"):
+        study(small_spec(paths=300), workers=workers)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 2000), st.data())
+def test_split_gives_contiguous_even_ranges_covering_the_interval(lo, width, data):
+    hi = lo + width
+    parts = data.draw(st.integers(1, width))
+    ranges = dpsde.experiments._split(lo, hi, parts)
+    assert len(ranges) == parts
+    assert ranges[0][0] == lo and ranges[-1][1] == hi
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    widths = [e - s for s, e in ranges]
+    assert min(widths) >= 1 and max(widths) - min(widths) <= 1
+    assert ranges == [(lo + width * i // parts, lo + width * (i + 1) // parts) for i in range(parts)]
 
 
 def test_report_keeps_skipped_fits_with_reason():

@@ -6,7 +6,7 @@ import pytest
 from _oracles import implicit_step, random_valid_params, step_reference
 from dpsde import beyond_mao, builtin_catalog, validate
 from dpsde.driver import brownian_values, coarsen_values, generate_increments, make_grid
-from dpsde.errors import AlphaOutOfRange, BetaOutOfRange
+from dpsde.errors import AlphaOutOfRange, BetaOutOfRange, InvalidIncrements
 from dpsde.models import CoefficientModel, get_model
 from dpsde.reference import (
     MaxSide,
@@ -128,6 +128,16 @@ def test_exact_singly_perturbed_rejects_what_validate_rejects(bad):
         validate(0.0, bad, 0.0, 1.0)
     with pytest.raises(BetaOutOfRange):
         exact_singly_perturbed(np.zeros(4), grid, MinSide(bad))
+
+
+@pytest.mark.parametrize("shape", [(10,), (2, 10), (257,), (256, 2), ()])
+def test_exact_singly_perturbed_needs_the_grid_step_count_on_the_last_axis(shape):
+    # 10 increments on a 256-step grid used to give an 11-point path, which
+    # write_path_csv then zipped against the grid's 257 times
+    grid = make_grid(256, 1.0)
+    with pytest.raises(InvalidIncrements, match="need 256 increments per path"):
+        exact_singly_perturbed(np.zeros(shape), grid, MaxSide(0.5))
+    assert exact_singly_perturbed(np.zeros((2, 256)), grid, MinSide(-1.0)).x.shape == (2, 257)
 
 
 def test_solver_matches_closed_form_on_same_grid():
