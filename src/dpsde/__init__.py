@@ -28,7 +28,7 @@ _EXPORTS = {
                     "compare_schemes", "default_study", "moment_scan", "rate_fit", "run_convergence"),
     "models": ("CoefficientModel", "builtin_catalog", "get_model"),
     "params": ("PerturbationParams", "beyond_mao", "validate"),
-    "reference": ("MaxSide", "MinSide", "exact_singly_perturbed", "solve_reference"),
+    "reference": ("exact_singly_perturbed", "solve_reference"),
     "reflect": ("skorohod_map",),
     "scheme": ("simulate_general_x0", "simulate_new"),
 }

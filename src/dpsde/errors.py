@@ -58,6 +58,10 @@ class NonZeroStart(DPSDEError):
     """The running-extrema scheme was asked to start from x0 != 0."""
 
 
+class NotSinglyPerturbed(DPSDEError):
+    """The closed form asked for parameters with x0 != 0 or with neither alpha nor beta zero."""
+
+
 class NonFinitePath(DPSDEError):
     """A simulated path produced a non-finite per-path statistic."""
 

@@ -19,7 +19,8 @@ nor the piece or tile width can change any output bit.
 
 Streaming fold.  A piece of B paths writes its increments into one
 time-major (L, B) array and keeps the reference solution's X only, as an
-(L+1, B) array.  Each scheme stream then runs on t = min(B, ceil(m*B /
+(L+1, B) array; both are prefixes of buffers that its span allocates once,
+for its widest piece.  Each scheme stream then runs on t = min(B, ceil(m*B /
 _TILE)) even column tiles of the piece, as views of the increments, so a
 block of m rows spans about _TILE elements however long the delay.  It
 folds every block into a running per-path sup as maximum(sup,
@@ -27,8 +28,7 @@ folds every block into a running per-path sup as maximum(sup,
 (NaN propagates), so the per-path statistics, and every output bit, equal
 those of the full (L+1, B) scheme output.  A piece therefore holds about
 2*L*B floats plus O(_TILE) scheme state, rather than four (L+1, B) arrays
-per solver run; one 256-path piece of the stock study at L=2048 peaks near
-2.9*L*B*8 bytes under tracemalloc, and the tests hold it below 3.25*L*B*8.
+per solver run, and a span of any number of pieces peaks like one piece.
 
 The grid must resolve the shortest delay: studies enforce at least 8 grid
 steps per delay 1/n, keeping lag resolution error subdominant at desk
@@ -233,15 +233,19 @@ def _per_path_sup(
     study_pid = os.getpid()
 
     def span(s0: int, s1: int) -> None:
-        for s, e in _split(s0, s1, -(-(s1 - s0) // _CHUNK)):
+        pieces = _split(s0, s1, -(-(s1 - s0) // _CHUNK))
+        width = max(e - s for s, e in pieces)  # each piece takes a prefix: a fresh pair per piece ratchets up RSS
+        dw_buf = np.empty(L * width)
+        ref_buf = np.empty((L + 1) * width) if against_reference else None
+        for s, e in pieces:
             if os.getpid() != study_pid and os.getppid() != study_pid:
                 os._exit(1)  # the study process is gone: nobody reads this span
             B = e - s
-            dw = np.empty((L, B))
+            dw = dw_buf[: L * B].reshape(L, B)
             for j in range(B):
                 dw[:, j] = generate_increments(spec.master_seed, s + j, spec.grid)
             if against_reference:
-                ref = np.empty((L + 1, B))
+                ref = ref_buf[: (L + 1) * B].reshape(L + 1, B)
                 for k0, k1, _, _, _, x in ref_steps(dw):
                     ref[k0:k1] = x
             for row, blocks, m in zip(stats, streams, lags):
@@ -307,20 +311,23 @@ def _in_spans(run, ranges: list[tuple[int, int]]) -> None:
 def rate_fit(errors) -> tuple[float, float]:
     """OLS slope and intercept of log2(estimate) against log2(n).
 
-    Raises DegenerateFit for fewer than 3 points, non-positive or
-    non-finite estimates, or repeated n values.
+    Raises DegenerateFit for fewer than 3 points, an n or estimate that is
+    not a real number (params.real_number), finite and > 0, or n values
+    whose log2 are not all distinct.
     """
-    pts = [(float(n), float(e)) for n, e in errors]
+    pts = [(real_number("n", n, DegenerateFit), real_number("estimate", e, DegenerateFit)) for n, e in errors]
     if len(pts) < 3:
         raise DegenerateFit(f"rate fit needs >= 3 points, got {len(pts)}")
     if any(not math.isfinite(e) or e <= 0.0 for _, e in pts):
         raise DegenerateFit("rate fit needs positive finite estimates")
+    if any(not math.isfinite(n) or n <= 0.0 for n, _ in pts):
+        raise DegenerateFit(f"rate fit needs positive finite n, got {[n for n, _ in pts]}")
     x = np.log2([n for n, _ in pts])
     y = np.log2([e for _, e in pts])
+    if len(set(x.tolist())) < len(pts):
+        raise DegenerateFit(f"rate fit needs distinct n values, got {[n for n, _ in pts]}")
     xm = x.mean()
     sxx = float(np.sum((x - xm) ** 2))
-    if sxx == 0.0:
-        raise DegenerateFit("rate fit needs distinct n values")
     slope = float(np.sum((x - xm) * (y - y.mean())) / sxx)
     return slope, float(y.mean() - slope * xm)
 

@@ -53,43 +53,26 @@ elementwise, so a float x gives the bits of the matching array element;
 the tests compare both routes bit for bit.
 
 For b = 0, sigma = 1, x0 = 0 and one vanishing parameter the solution has
-an explicit running-extremum form, exposed as exact_singly_perturbed and
-used as an independent oracle.
+an explicit running-extremum form, exposed as exact_singly_perturbed, which
+takes the same checked PerturbationParams as the solvers and serves as an
+independent oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .driver import GridPath, SimGrid, brownian_values, check_steps, collect, single_path
-from .errors import InvalidIncrements
+from .errors import InvalidIncrements, NotSinglyPerturbed
 from .models import CoefficientModel
-from .params import PerturbationParams, time_zero_level, validate
+from .params import PerturbationParams, time_zero_level
 
 __all__ = [
-    "MaxSide",
-    "MinSide",
     "reference_steps",
     "solve_reference",
     "solve_reference_batch",
     "exact_singly_perturbed",
 ]
-
-
-@dataclass(frozen=True)
-class MaxSide:
-    """Singly perturbed by the running maximum (beta = 0)."""
-
-    alpha: float
-
-
-@dataclass(frozen=True)
-class MinSide:
-    """Singly perturbed by the running minimum (alpha = 0)."""
-
-    beta: float
 
 
 def reference_steps(model, params, grid):
@@ -173,30 +156,32 @@ def solve_reference(model, params, grid, increments) -> GridPath:
     return single_path(reference_steps(model, params, grid), grid, increments)
 
 
-def exact_singly_perturbed(increments: np.ndarray, grid: SimGrid, side) -> GridPath:
+def exact_singly_perturbed(increments: np.ndarray, grid: SimGrid, params: PerturbationParams) -> GridPath:
     """Closed-form path for b = 0, sigma = 1, x0 = 0 and one parameter zero.
 
-    MaxSide(alpha):  X = W + (alpha/(1-alpha)) * max_{j<=k} W_j
-    MinSide(beta):   X = W + (beta/(1-beta))  * min_{j<=k} W_j
+    beta = 0:   X = W + (alpha/(1-alpha)) * max_{j<=k} W_j
+    alpha = 0:  X = W + (beta/(1-beta))  * min_{j<=k} W_j
 
-    (The positive part in the underlying reflection identity is redundant
-    because the running extrema of W straddle W_0 = 0.)  big_m/big_i are
-    recomputed from X itself so the usual path invariants hold.  Increments
-    whose last axis does not hold grid.steps steps raise InvalidIncrements;
-    a side parameter that validate rejects raises AlphaOutOfRange/BetaOutOfRange.
+    alpha = beta = 0 takes the first form and gives X = W.  params is the
+    checked record (its horizon is not read): x0 != 0, or alpha and beta
+    both non-zero, raises NotSinglyPerturbed, and increments whose last
+    axis does not hold grid.steps steps raise InvalidIncrements, both
+    before any work.  (The positive part in the underlying reflection
+    identity is redundant because the running extrema of W straddle
+    W_0 = 0.)  big_m/big_i are recomputed from X itself so the usual path
+    invariants hold.
     """
+    alpha, beta = params.alpha, params.beta
+    if params.x0 != 0.0 or (alpha != 0.0 and beta != 0.0):  # not alpha * beta, which can underflow to 0
+        raise NotSinglyPerturbed(f"need x0 = 0 and alpha = 0 or beta = 0, got {params}")
     dw = np.asarray(increments, dtype=float)
     if dw.shape[-1:] != (grid.steps,):
         raise InvalidIncrements(f"need {grid.steps} increments per path, one per grid step; got shape {dw.shape}")
     w = brownian_values(dw)
-    if isinstance(side, MaxSide):
-        validate(side.alpha, 0.0, 0.0, 1.0)
-        x = w + (side.alpha / (1.0 - side.alpha)) * np.maximum.accumulate(w, axis=-1)
-    elif isinstance(side, MinSide):
-        validate(0.0, side.beta, 0.0, 1.0)
-        x = w + (side.beta / (1.0 - side.beta)) * np.minimum.accumulate(w, axis=-1)
+    if beta == 0.0:
+        x = w + (alpha / (1.0 - alpha)) * np.maximum.accumulate(w, axis=-1)
     else:
-        raise TypeError(f"side must be MaxSide or MinSide, got {side!r}")
+        x = w + (beta / (1.0 - beta)) * np.minimum.accumulate(w, axis=-1)
     return GridPath(
         phi=w,
         big_m=np.maximum.accumulate(x, axis=-1),

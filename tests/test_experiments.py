@@ -278,6 +278,15 @@ def test_rate_fit_degenerate_inputs():
         rate_fit([(8, 0.1), (16, 0.0), (32, 0.025)])
     with pytest.raises(DegenerateFit):
         rate_fit([(8, 0.1), (8, 0.2), (8, 0.3)])
+    with pytest.raises(DegenerateFit, match="distinct n"):
+        rate_fit([(8, 1.0), (8, 2.0), (16, 3.0)])  # one repeat among distinct n still has a slope to compute
+    with pytest.raises(DegenerateFit, match="positive finite n"):
+        rate_fit([(0, 1.0), (8, 0.5), (16, 0.25)])  # log2(0) = -inf would give (nan, nan)
+    for bad in (10**400, "8"):  # beyond the floats, or a string
+        with pytest.raises(DegenerateFit, match="real number"):
+            rate_fit([(bad, 1.0), (16, 0.5), (32, 0.25)])
+        with pytest.raises(DegenerateFit, match="real number"):
+            rate_fit([(8, bad), (16, 0.5), (32, 0.25)])
 
 
 def test_moment_scan_zero_model():
@@ -519,6 +528,27 @@ def test_stock_chunk_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3.25 * L * B * 8, peak / (L * B * 8)
+
+
+@pytest.mark.parametrize("paths", [512, 1024])
+def test_a_span_of_several_pieces_peaks_like_one_piece(paths):
+    # a span allocates its increments and reference buffers once, for its
+    # widest piece, and gives each piece a prefix, so 2 or 4 pieces of 256
+    # paths peak within 2% of one piece: 2.76 L*256*8 bytes at each size,
+    # where a fresh pair of arrays per piece reads 3.18 against 2.76
+    L = 2048
+
+    def peak(paths):
+        tracemalloc.start()
+        try:
+            run_convergence(default_study(grid_steps=L, paths=paths))
+            return tracemalloc.get_traced_memory()[1] / (L * _CHUNK * 8)
+        finally:
+            tracemalloc.stop()
+
+    one = peak(_CHUNK)  # first, so that what a first run leaves cached is not charged to the span
+    many = peak(paths)
+    assert many <= 1.02 * one, (many, one)
 
 
 def nan_after_half(condition=lambda x: True):

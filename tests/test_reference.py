@@ -1,4 +1,4 @@
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,16 +6,9 @@ import pytest
 from _oracles import implicit_step, random_valid_params, step_reference
 from dpsde import beyond_mao, builtin_catalog, validate
 from dpsde.driver import brownian_values, coarsen_values, generate_increments, make_grid
-from dpsde.errors import AlphaOutOfRange, BetaOutOfRange, InvalidIncrements
+from dpsde.errors import InvalidIncrements, NotSinglyPerturbed
 from dpsde.models import CoefficientModel, get_model
-from dpsde.reference import (
-    MaxSide,
-    MinSide,
-    exact_singly_perturbed,
-    reference_steps,
-    solve_reference,
-    solve_reference_batch,
-)
+from dpsde.reference import exact_singly_perturbed, reference_steps, solve_reference, solve_reference_batch
 
 
 def const_model(b: float, s: float) -> CoefficientModel:
@@ -99,35 +92,30 @@ def test_exact_singly_perturbed_hand_values_max_side():
     # W = (0, 1, 0.5, 2), alpha = 0.5: X = W + max(W) = (0, 2, 1.5, 4)
     grid = make_grid(3, 3.0)
     increments = np.array([1.0, -0.5, 1.5])
-    ref = exact_singly_perturbed(increments, grid, MaxSide(0.5))
+    ref = exact_singly_perturbed(increments, grid, validate(0.5, 0.0, 0.0, 3.0))
     assert np.allclose(ref.x, [0.0, 2.0, 1.5, 4.0], rtol=0.0, atol=1e-15)
 
 
 def test_exact_singly_perturbed_alpha_zero_is_brownian():
     grid = make_grid(16, 1.0)
     dw = generate_increments(9, 0, grid)
-    ref = exact_singly_perturbed(dw, grid, MaxSide(0.0))
+    ref = exact_singly_perturbed(dw, grid, validate(0.0, 0.0, 0.0, 1.0))
     assert np.array_equal(ref.x, brownian_values(dw))
 
 
 def test_exact_singly_perturbed_hand_values_min_side():
     # beta = -1: X = W - 0.5 * min(W); W = (0, -1, 1) -> X = (0, -0.5, 1.5)
     grid = make_grid(2, 2.0)
-    ref = exact_singly_perturbed(np.array([-1.0, 2.0]), grid, MinSide(-1.0))
+    ref = exact_singly_perturbed(np.array([-1.0, 2.0]), grid, validate(0.0, -1.0, 0.0, 2.0))
     assert np.allclose(ref.x, [0.0, -0.5, 1.5], rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("bad", [1.0, math.nan, math.inf])
-def test_exact_singly_perturbed_rejects_what_validate_rejects(bad):
-    grid = make_grid(4, 1.0)
-    with pytest.raises(AlphaOutOfRange):
-        validate(bad, 0.0, 0.0, 1.0)
-    with pytest.raises(AlphaOutOfRange):
-        exact_singly_perturbed(np.zeros(4), grid, MaxSide(bad))
-    with pytest.raises(BetaOutOfRange):
-        validate(0.0, bad, 0.0, 1.0)
-    with pytest.raises(BetaOutOfRange):
-        exact_singly_perturbed(np.zeros(4), grid, MinSide(bad))
+@pytest.mark.parametrize("alpha, beta, x0", [(0.5, -1.0, 0.0), (0.5, 0.0, 1.0), (0.0, 0.0, -2.0), (1e-200, 1e-200, 0.0)])
+def test_exact_singly_perturbed_needs_x0_zero_and_one_parameter_zero(alpha, beta, x0):
+    # 1e-200 * 1e-200 underflows to 0, yet neither parameter is zero; the
+    # wrong shape shows that the parameters are checked first
+    with pytest.raises(NotSinglyPerturbed):
+        exact_singly_perturbed(np.zeros(3), make_grid(4, 1.0), validate(alpha, beta, x0, 1.0))
 
 
 @pytest.mark.parametrize("shape", [(10,), (2, 10), (257,), (256, 2), ()])
@@ -136,8 +124,8 @@ def test_exact_singly_perturbed_needs_the_grid_step_count_on_the_last_axis(shape
     # write_path_csv then zipped against the grid's 257 times
     grid = make_grid(256, 1.0)
     with pytest.raises(InvalidIncrements, match="need 256 increments per path"):
-        exact_singly_perturbed(np.zeros(shape), grid, MaxSide(0.5))
-    assert exact_singly_perturbed(np.zeros((2, 256)), grid, MinSide(-1.0)).x.shape == (2, 257)
+        exact_singly_perturbed(np.zeros(shape), grid, validate(0.5, 0.0, 0.0, 1.0))
+    assert exact_singly_perturbed(np.zeros((2, 256)), grid, validate(0.0, -1.0, 0.0, 1.0)).x.shape == (2, 257)
 
 
 def test_solver_matches_closed_form_on_same_grid():
@@ -149,7 +137,7 @@ def test_solver_matches_closed_form_on_same_grid():
     for i in range(5):
         dw = generate_increments(13, i, grid)
         ref = solve_reference(model, p, grid, dw)
-        exact = exact_singly_perturbed(dw, grid, MaxSide(0.5))
+        exact = exact_singly_perturbed(dw, grid, p)
         scale = 1.0 + np.max(np.abs(exact.x))
         assert np.max(np.abs(ref.x - exact.x)) <= 1e-10 * scale
 
@@ -158,19 +146,19 @@ def test_singly_perturbed_check_holds_both_sides(monkeypatch):
     # dpsde check holds the solver to the closed form with beta = 0 and with alpha = 0
     import dpsde.checks
 
-    sides = []
+    records = []
 
-    def recording(dw, grid, side):
-        sides.append(side)
-        return exact_singly_perturbed(dw, grid, side)
+    def recording(dw, grid, params):
+        records.append(params)
+        return exact_singly_perturbed(dw, grid, params)
 
     monkeypatch.setattr(dpsde.checks, "exact_singly_perturbed", recording)
     ok, detail = dpsde.checks._check_singly_perturbed()
     assert ok, detail
-    assert sides == [MaxSide(0.5)] * 10 + [MinSide(-1.0)] * 10
+    assert records == [validate(0.5, 0.0, 0.0, 1.0)] * 10 + [validate(0.0, -1.0, 0.0, 1.0)] * 10
 
-    def wrong_min_side(dw, grid, side):
-        return exact_singly_perturbed(dw, grid, MinSide(-0.5) if isinstance(side, MinSide) else side)
+    def wrong_min_side(dw, grid, params):
+        return exact_singly_perturbed(dw, grid, replace(params, beta=-0.5) if params.beta else params)
 
     monkeypatch.setattr(dpsde.checks, "exact_singly_perturbed", wrong_min_side)
     assert not dpsde.checks._check_singly_perturbed()[0]

@@ -14,7 +14,7 @@ from dpsde import beyond_mao, builtin_catalog, validate
 from dpsde.driver import brownian_values, generate_increments, lag_map, make_grid, single_path
 from dpsde.errors import DelayNotAligned, DPSDEError
 from dpsde.models import CoefficientModel, get_model
-from dpsde.reference import MaxSide, exact_singly_perturbed
+from dpsde.reference import exact_singly_perturbed
 from dpsde.scheme import (
     _running,
     _scan_buffers,
@@ -116,7 +116,7 @@ def test_single_sided_scheme_hits_closed_form():
         for i in range(10):
             dw = generate_increments(11, i, grid)
             path = simulate_new(model, p, grid, n, dw)
-            exact = exact_singly_perturbed(dw, grid, MaxSide(0.3))
+            exact = exact_singly_perturbed(dw, grid, p)
             assert np.max(np.abs(path.x - exact.x)) <= 1e-12 * (1.0 + np.max(np.abs(exact.x)))
 
 
