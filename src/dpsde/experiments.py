@@ -22,13 +22,13 @@ time-major (L, B) array and keeps the reference solution's X only, as an
 (L+1, B) array; both are prefixes of buffers that its span allocates once,
 for its widest piece.  Each scheme stream then runs on t = min(B, ceil(m*B /
 _TILE)) even column tiles of the piece, as views of the increments, so a
-block of m rows spans about _TILE elements however long the delay.  It
-folds every block into a running per-path sup as maximum(sup,
-|X^n - X|.max(axis=0)), whose temporaries last one block.  Max is exact
-(NaN propagates), so the per-path statistics, and every output bit, equal
-those of the full (L+1, B) scheme output.  A piece therefore holds about
-2*L*B floats plus O(_TILE) scheme state, rather than four (L+1, B) arrays
-per solver run, and a span of any number of pieces peaks like one piece.
+block of m rows spans about _TILE elements however long the delay.
+_fold_sup folds a tile's blocks into a running per-path sup as maximum(sup,
+|X^n - X|.max(axis=0)); its temporaries last one block, and its views of
+the stream's state die when it returns, before the next tile's is built.
+Max is exact (NaN propagates), so every output bit equals that of the full
+(L+1, B) scheme output.  A piece therefore holds about 2*L*B floats plus
+one tile's O(_TILE) scheme state, and a span of pieces peaks like one.
 
 The grid must resolve the shortest delay: studies enforce at least 8 grid
 steps per delay 1/n, keeping lag resolution error subdominant at desk
@@ -250,11 +250,7 @@ def _per_path_sup(
                     ref[k0:k1] = x
             for row, blocks, m in zip(stats, streams, lags):
                 for c0, c1 in _split(0, B, min(B, -(-m * B // _TILE))):  # tiles of about _TILE lag-block elements
-                    sup = row[s + c0 : s + c1]
-                    sup[:] = 0.0  # every |.| is >= +0.0, so 0 is the fold's identity
-                    for k0, k1, _, _, _, x in blocks(dw[:, c0:c1]):
-                        d = x - ref[k0:k1, c0:c1] if against_reference else x
-                        np.maximum(sup, np.maximum.reduce(np.abs(d), axis=0), out=sup)  # NaN stays
+                    _fold_sup(row[s + c0 : s + c1], blocks(dw[:, c0:c1]), ref[:, c0:c1] if against_reference else None)
             if not np.isfinite(stats[:, s:e]).all():
                 return
 
@@ -268,6 +264,13 @@ def _per_path_sup(
             f"non-finite per-path {what} for scheme {kind!r}, n={n}: first at path index {i}"
         )
     return dict(zip(keys, stats))
+
+
+def _fold_sup(sup: np.ndarray, run, ref) -> None:
+    """Write into sup the per-path sup over the blocks of run of |X^n - ref|, or of |X^n| if ref is None."""
+    sup[:] = 0.0  # every |.| is >= +0.0, so 0 is the fold's identity
+    for k0, k1, _, _, _, x in run:
+        np.maximum(sup, np.maximum.reduce(np.abs(x if ref is None else x - ref[k0:k1]), axis=0), out=sup)  # NaN stays
 
 
 def _split(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:

@@ -55,7 +55,7 @@ def _log_lipschitz_sigma(epsilon: float) -> Coefficient:
         with np.errstate(divide="ignore", invalid="ignore"):
             core = a * (1.0 - np.log(a))
         g = np.where(a == 0.0, 0.0, np.where(a <= epsilon, core, g_eps + slope * (a - epsilon)))
-        return np.sign(x) * g
+        return np.copysign(g, x)  # not np.sign(x) * g, whose NaN * NaN takes either sign by array layout
 
     return sigma
 

@@ -53,27 +53,26 @@ recursion, so with finite increments the result is bit-for-bit the
 step-by-step one; the tests hold the step-by-step loops as oracles.  Once
 non-finite increments meet, "new" can differ from its oracle in the sign
 of a NaN; every other bit, and every bit of "old" and "general", still
-match.
+match for coefficients whose NaN bits do not depend on the array's shape.
 
 Streaming.  A block reads nothing older than the m+1 rows before it: the
 raw lags k0-1-m..k1-2-m and the clamped lags k0-m..k1-1-m all lie in the
-previous block or in that block's first row.  So the kernel keeps two
-(4, m+1, paths) buffers of (Phi, M, I, X), the current block and the
-previous one, where row 0 of a buffer repeats the last row of the block
-before it, and swaps them after each block.  The previous buffer starts as
-the pre-time segment, steps -m..0: raw lags reaching negative times read
-the constant history, clamped lags the time-zero state.  So the first block
-runs the same code as the others.  The scan takes a (2, 1, paths) carry and
-two (2, P+m, paths) buffers more, P the largest power of two < m: the -inf
-pad, then the arguments in one and the passes' alternate in the other; the
-carry stays out of the passes, so P is half what it would be with the
-carry scanned as row 0.  It yields each block's rows as views into the
-current buffer, under the block protocol of dpsde.driver, so its memory is
-O(m * paths) whatever L is.  scheme_blocks checks the parameters and works
-out m, the start state and the times column once, when the stream is
-built; each run of the stream allocates its own buffers, fills the pad
-once, and builds once the views a full block touches (one set per buffer
-parity, and one for a partial last block), so a block slices only the
+previous block or in the row before it.  So the kernel keeps one
+(4, m+1, paths) buffer of (Phi, M, I, X), rows 1..m the last block and row
+0 of Phi and X the row before it, and each block updates it in place,
+reading every lagged row before it writes that row (see _block_views).  It
+starts as the pre-time segment, steps -m..0: raw lags reaching negative
+times read the constant history, clamped lags the time-zero state, so the
+first block runs the same code as the others.  The scan takes a
+(2, 1, paths) carry and two (2, P+m, paths) buffers more, P the largest
+power of two < m: the -inf pad, then the arguments in one and the passes'
+alternate in the other; the carry stays out of the passes, so P is half
+what it would be with the carry scanned as row 0.  It yields each block's
+rows as views into the buffer, under the block protocol of dpsde.driver,
+so its memory is O(m * paths) whatever L is.  scheme_blocks checks the
+parameters and works out m, the start state and the times column once;
+each run allocates its own buffers, fills the pad and builds the views of
+a full block (and of a partial last one) once, so a block slices only the
 times column and the increments.
 """
 
@@ -138,36 +137,32 @@ def scheme_blocks(kind, model, params, grid, n):
     def blocks(dw):
         check_steps(dw, grid)
         L, B = dw.shape
-        # (phi, big_m, big_i, x) of the current and the previous block; row 0
-        # of a buffer is the last row of the block before it.  prev starts as
-        # steps -m..0: the raw X lags in rows 0..m-1, the clamped M and I lags
-        # in rows 1..m, the time-zero state in row m; nothing reads the rest
-        bufs = np.empty((2, 4, m + 1, B))
-        # the running maxima's carry (before clamp, division or negation)
-        carry = np.empty((2, 1, B))
+        # (phi, big_m, big_i, x) at steps -m..0: the raw X lags in rows 0..m-1,
+        # the clamped M and I lags in rows 1..m, the time-zero state in row m
+        buf = np.empty((4, m + 1, B))
+        carry = np.empty((2, 1, B))  # the running maxima's carry (before clamp, division or negation)
         scan, pad = _scan_buffers(m, B)
-        prev = bufs[1]
-        prev[0, m], prev[3, :m] = 0.0, hist
-        carry[0], carry[1], prev[1, 1:], prev[2, 1:], prev[3, m] = start
-        yield 0, 1, *prev[:, m:]
-        # one set of views per buffer parity, since cur and prev swap
-        full = [_block_views(bufs[j], bufs[1 - j], scan, carry, pad, m) for j in (0, 1)]
-        for j, k0 in enumerate(range(1, L + 1, m)):
+        buf[0, m], buf[3, :m] = 0.0, hist
+        carry[0], carry[1], buf[1, 1:], buf[2, 1:], buf[3, m] = start
+        yield 0, 1, *buf[:, m:]
+        full = _block_views(buf, scan, carry, pad, m)
+        for k0 in range(1, L + 1, m):
             w = min(m, L + 1 - k0)
-            views = full[j % 2] if w == m else _block_views(bufs[j % 2], bufs[1 - j % 2], scan, carry, pad, w)
-            head, tail, xlag, lag_m, lag_i, lag_x, phi, p, big_m, big_i, x, up, down, passes, last, g, q = views
-            np.copyto(head, tail)
+            views = full if w == m else _block_views(buf, scan, carry, pad, w)
+            phi_head, phi_tail, x_head, x_tail, xlag, phi, p, big_m, big_i, x, up, down, passes, last, g, q = views
+            np.copyto(phi_head, phi_tail)
             t = times[k0 - 1 : k0 - 1 + w]
             np.add(drift(t, xlag) * h, diffusion(t, xlag) * dw[k0 - 1 : k0 - 1 + w], out=p)
+            np.copyto(x_head, x_tail)  # xlag has read row 0
             np.add.accumulate(phi, axis=0, out=phi)
             base = p if kind == "new" else x0 + p
-            if kind == "old":
-                np.copyto(up, lag_x)
-                np.negative(lag_x, out=down)
+            if kind == "old":  # big_m, big_i and x still hold the lagged rows
+                np.copyto(up, x)
+                np.negative(x, out=down)
             else:
-                np.add(base, beta * lag_i, out=up)
+                np.add(base, beta * big_i, out=up)
                 # -Phi, not -0.0 - Phi, which would keep the sign of a NaN
-                np.subtract(-p if kind == "new" else -x0 - p, alpha * lag_m, out=down)
+                np.subtract(-p if kind == "new" else -x0 - p, alpha * big_m, out=down)
             _running(passes)
             if kind == "old":
                 np.copyto(big_m, g)
@@ -185,16 +180,18 @@ def scheme_blocks(kind, model, params, grid, n):
     return blocks
 
 
-def _block_views(cur, prev, scan, carry, pad, w):
-    """The views one block of w steps reads and writes, in the unpacking
-    order of scheme_blocks: the head row of cur and the tail row of prev it
-    repeats, the lagged X, M, I and X rows of prev, Phi with its head row,
-    the new Phi, M, I and X rows of cur, then the scan's argument rows, its
-    passes, the carry's next value and the scanned rows."""
-    phi, big_m, big_i, x = cur[:, : w + 1]
+def _block_views(buf, scan, carry, pad, w):
+    """The views, in the unpacking order of scheme_blocks, that one block of
+    w steps reads and writes in buf, which it updates in place: it copies
+    Phi's row m into row 0, evaluates the coefficients on X's rows 0..w-1,
+    copies X's row m into row 0, accumulates Phi over rows 0..w, builds the
+    scan arguments from the lagged rows 1..w of M and I (X for "old"), then
+    scans and writes M, I and X there.  So every lagged row is read before
+    it is overwritten, and nothing reads row 0 of M or I."""
+    phi, big_m, big_i, x = buf[:, : w + 1]
     args, passes, out = _scan_views(scan, carry, pad, w)
     return (
-        cur[:, 0], prev[:, -1], prev[3, :w], *prev[1:, 1 : w + 1],
+        buf[0, 0], buf[0, -1], buf[3, 0], buf[3, -1], buf[3, :w],
         phi, phi[1:], big_m[1:], big_i[1:], x[1:],
         *args, passes, out[:, w - 1 :], *out,
     )

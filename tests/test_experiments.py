@@ -517,17 +517,20 @@ def test_tiled_fold_equals_the_one_tile_fold_bitwise(monkeypatch, L, T, n_list, 
 
 
 def test_stock_chunk_peak_memory_is_bounded():
-    # one 256-path chunk of the stock study keeps O(_TILE) scheme state, the
-    # (L, B) increments and the reference X, not four (L+1, B) outputs per n
+    # one 256-path chunk of the stock study keeps one tile's O(_TILE) scheme
+    # state, the (L, B) increments and the reference X, not four (L+1, B)
+    # outputs per n: 2.49 L*B*8 bytes; two state buffers per stream, kept
+    # alive into the next tile, read 2.76
     L, B = 2048, 256
     spec = default_study(grid_steps=L, paths=B)
+    run_convergence(spec)  # warm-up, so that what a first run leaves cached is not charged
     tracemalloc.start()
     try:
         run_convergence(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.25 * L * B * 8, peak / (L * B * 8)
+    assert peak < 2.6 * L * B * 8, peak / (L * B * 8)
 
 
 @pytest.mark.parametrize("paths", [512, 1024])

@@ -93,6 +93,19 @@ def test_log_lipschitz_shape():
     assert far == pytest.approx(slope, rel=1e-12)
 
 
+def test_catalog_coefficients_give_a_nan_one_sign_in_any_layout():
+    # the block kernel evaluates a (w, B) block where its oracle evaluates a
+    # (B,) row, so a NaN x must give the same NaN bits whatever the array's
+    # shape; numpy's NaN * NaN takes either sign by position in the array
+    for model in builtin_catalog():
+        for f in (model.drift, model.diffusion):
+            for nan in (np.nan, -np.nan):
+                one = np.asarray(f(0.5, np.full(1, nan))).view(np.int64)[0]
+                for shape in [(n,) for n in range(2, 41)] + [(7, 5), (8, 64)]:
+                    got = np.asarray(f(0.5, np.full(shape, nan))).view(np.int64)
+                    assert (got == one).all(), (model.id, f, shape, nan)
+
+
 def test_catalog_coefficients_vectorize():
     x = np.linspace(-2.0, 2.0, 11)
     for model in builtin_catalog():

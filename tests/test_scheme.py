@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -275,9 +277,11 @@ def test_block_kernel_matches_step_oracles_bitwise():
     )
     models = builtin_catalog() + [time_model]
     # (L, T, n): m = L/(nT) in {1, 7, 8, 15, 16, 31, L} (doubling scans of
-    # 2**j - 1, 2**j and 2**j + 1 rows) and one partial last block (m=64)
+    # 2**j - 1, 2**j and 2**j + 1 rows), a partial last block (m=64) and a
+    # last block of one row (m=8), whose head copies read row m of the block
+    # before it
     grids = [(24, 1.0, 24), (56, 1.0, 8), (64, 1.0, 8), (40, 1.0, 1), (96, 0.75, 2),
-             (45, 1.0, 3), (64, 1.0, 4), (62, 1.0, 2)]
+             (45, 1.0, 3), (64, 1.0, 4), (62, 1.0, 2), (65, 65 / 64, 8)]
     rng = np.random.default_rng(43)
     seen_beyond_mao = 0
     for model in models:
@@ -354,3 +358,24 @@ def test_running_matches_accumulate_bitwise():
                     assert np.array_equal((-got[1]).view(np.int64), np.minimum.accumulate(b, axis=0).view(np.int64)), (
                         rows, width, m)
                     assert np.array_equal(scan[:, :, :pad], np.full((2, 2, pad, width), -np.inf))
+
+
+def test_stream_peak_memory_is_one_state_buffer():
+    # a run keeps one (4, m+1, B) state buffer, updated in place, beside the
+    # two (2, P+m, B) scan buffers; with 5 block-sized temporaries on top
+    # that bounds its peak, and a second state buffer would exceed it
+    m, B = 256, 64  # one tile of 2**14 lag-block elements
+    grid = make_grid(4 * m, 1.0)
+    dw = np.ascontiguousarray(np.stack([generate_increments(3, i, grid) for i in range(B)]).T)
+    blocks = scheme_blocks("new", get_model("affine"), validate(0.6, -1.0, 0.0, 1.0), grid, 4)
+    pad = _scan_buffers(m, 1)[1]
+    for _ in blocks(dw):  # warm-up: what a first run leaves cached is not the stream's state
+        pass
+    tracemalloc.start()
+    try:
+        for _ in blocks(dw):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 * (m + 1) + 2 * 2 * (pad + m) + 5 * m) * B * 8, peak / (m * B * 8)
